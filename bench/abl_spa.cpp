@@ -1,4 +1,5 @@
-// Ablation benchmarks for the design choices DESIGN.md calls out:
+// Ablation benchmarks for the view-store design choices (README, "Policy
+// matrix" and "Substitutions"):
 //
 //  A. The SPA log-overflow rule (paper Section 6): once more than 120 views
 //     are inserted, the runtime stops logging and sequences the whole
@@ -144,7 +145,7 @@ void ablation_hypermap_growth(int reps, bench::JsonReport& report) {
     for (int r = 0; r < reps; ++r) {
       cilkm::hypermap::HyperMap map;
       const auto t0 = cilkm::now_ns();
-      for (int i = 0; i < n; ++i) map.insert(&key_block[i], &key_block[i], nullptr);
+      for (int i = 0; i < n; ++i) map.insert(&key_block[i], &key_block[i]);
       const auto t1 = cilkm::now_ns();
       total += static_cast<double>(t1 - t0) / n;
       cap = map.capacity();

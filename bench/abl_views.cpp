@@ -10,33 +10,37 @@
 #include <vector>
 
 #include "harness.hpp"
-#include "util/pool_alloc.hpp"
+#include "mem/internal_alloc.hpp"
 #include "util/stats.hpp"
 
 namespace {
 
 void keep(void* p) { asm volatile("" : : "g"(p) : "memory"); }
 
+// Pooled cycles allocate what a `bytes`-sized view occupies: whole lines.
 double time_alloc_cycle(int iters, bool pooled, std::size_t bytes) {
-  auto& pool = cilkm::ViewPool::instance();
+  using cilkm::mem::AllocTag;
+  auto& pool = cilkm::mem::InternalAlloc::instance();
+  const std::size_t block = cilkm::mem::view_block_bytes(bytes);
   std::vector<void*> held(64, nullptr);
   const auto t0 = cilkm::now_ns();
   for (int i = 0; i < iters; ++i) {
     const std::size_t k = static_cast<std::size_t>(i) & 63;
     if (held[k] != nullptr) {
       if (pooled) {
-        pool.deallocate(held[k], bytes);
+        pool.deallocate(held[k], block, AllocTag::kViews);
       } else {
         ::operator delete(held[k]);
       }
     }
-    held[k] = pooled ? pool.allocate(bytes) : ::operator new(bytes);
+    held[k] = pooled ? pool.allocate(block, AllocTag::kViews)
+                     : ::operator new(bytes);
     keep(held[k]);
   }
   for (auto& p : held) {
     if (p != nullptr) {
       if (pooled) {
-        pool.deallocate(p, bytes);
+        pool.deallocate(p, block, AllocTag::kViews);
       } else {
         ::operator delete(p);
       }

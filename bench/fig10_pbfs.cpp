@@ -5,7 +5,7 @@
 // The paper's graphs (florida matrix collection + wikipedia crawl) are
 // replaced by synthetic stand-ins with matching |V|, |E| and diameter class,
 // scaled down by --shrink (default 64) so the suite regenerates in minutes
-// on one core. See DESIGN.md's substitution table.
+// on one core. See README's "Substitutions" section.
 //
 //   ./fig10_pbfs [--shrink S] [--reps R]
 #include <cstdio>

@@ -20,6 +20,11 @@
 // engine in the views layer, and these semantics: the value observed after
 // quiescence equals the serial-execution result whenever the monoid's
 // reduce operation is associative.
+//
+// Layout: a reducer is its ReducerBase (the type's static ViewOps table),
+// the monoid (usually empty, so it takes no space), the leftmost view and
+// the policy key: 32 bytes for reducer_opadd<std::uint64_t>. Its views
+// are allocated in whole cache lines (mem::new_view).
 #pragma once
 
 #include <concepts>
@@ -28,11 +33,10 @@
 #include <utility>
 
 #include "core/view_ops.hpp"
+#include "mem/internal_alloc.hpp"
 #include "runtime/worker.hpp"
 #include "spa/slot_alloc.hpp"
 #include "tlmm/region.hpp"
-#include "util/pool_alloc.hpp"
-#include "util/timing.hpp"
 #include "views/flat_registry.hpp"
 #include "views/view_store.hpp"
 
@@ -72,7 +76,7 @@ struct policy_traits<flat_policy> {
 };
 
 template <MonoidFor M, typename Policy = mm_policy>
-class reducer {
+class reducer : private ReducerBase {
  public:
   using value_type = typename M::value_type;
   using monoid_type = M;
@@ -87,14 +91,18 @@ class reducer {
   reducer() : reducer(M{}) {}
 
   explicit reducer(M monoid)
-      : monoid_(std::move(monoid)), leftmost_(monoid_.identity()) {
+      : ReducerBase{&kOps},
+        monoid_(std::move(monoid)),
+        leftmost_(monoid_.identity()) {
     init();
   }
 
   /// Start from an initial value (the pre-existing contents of the leftmost
   /// view, e.g. a non-empty list being appended to).
   reducer(M monoid, value_type initial)
-      : monoid_(std::move(monoid)), leftmost_(std::move(initial)) {
+      : ReducerBase{&kOps},
+        monoid_(std::move(monoid)),
+        leftmost_(std::move(initial)) {
     init();
   }
 
@@ -109,7 +117,7 @@ class reducer {
       } else if constexpr (is_flat) {
         view = w->views().flat().extract(flat_id_);
       } else {
-        view = w->views().hypermap().extract(this);
+        view = w->views().hypermap().extract(base());
       }
       if (view != nullptr) collapse_view(static_cast<value_type*>(view));
     }
@@ -151,7 +159,7 @@ class reducer {
     } else {
       rt::Worker* w = rt::Worker::current();
       if (w != nullptr) [[likely]] {
-        if (auto* entry = w->views().hypermap().lookup(this)) [[likely]] {
+        if (auto* entry = w->views().hypermap().lookup(base())) [[likely]] {
           return *static_cast<value_type*>(entry->view);
         }
         return *miss_hypermap(w);
@@ -192,11 +200,6 @@ class reducer {
 
  private:
   void init() {
-    ops_.create_identity = &s_create_identity;
-    ops_.reduce = &s_reduce;
-    ops_.destroy = &s_destroy;
-    ops_.collapse = &s_collapse;
-    ops_.reducer = this;
     if constexpr (is_memory_mapped) {
       rt::Worker* w = rt::Worker::current();
       tlmm_addr_ = spa::SlotAllocator::instance().allocate(
@@ -206,65 +209,59 @@ class reducer {
     }
   }
 
-  // Views live in pooled storage (Hoard-style per-worker caches): view
-  // creation dominates the reduce overhead (paper Figure 8), so its
-  // allocation path avoids the general-purpose heap.
-  value_type* make_identity(rt::Worker* w) {
-    ScopedTimerNs timer(w->stats()[StatCounter::kViewCreateNs]);
-    ++w->stats()[StatCounter::kViewsCreated];
-    return ViewPool::instance().create<value_type>(monoid_.identity());
-  }
+  /// The owner every view store files this reducer's views under (and the
+  /// hypermap key).
+  ReducerBase* base() noexcept { return this; }
 
-  value_type* miss_mm() {
+  // The lookup-miss paths. The views layer counts and samples the miss
+  // (ViewStoreSet::create_on_miss); the view itself comes from the kViews
+  // pool, whose per-worker magazines keep this path off the general heap.
+  // Out of line so the allocation and store code stays out of the caller's
+  // loop around view(): lookups hit far more often than they miss.
+  [[gnu::noinline]] value_type* miss_mm() {
     rt::Worker* w = rt::Worker::current();
     CILKM_CHECK(w != nullptr, "TLMM region set but no current worker");
-    value_type* view = make_identity(w);
-    w->views().spa().install(tlmm_addr_, view, &ops_);
-    return view;
+    views::ViewStoreSet& store = w->views();
+    return store.create_on_miss(
+        [&] { return mem::new_view<value_type>(monoid_.identity()); },
+        [&](value_type* v) { store.spa().install(tlmm_addr_, v, base()); });
   }
 
-  value_type* miss_flat(rt::Worker* w) {
-    value_type* view = make_identity(w);
-    w->views().flat().install(flat_id_, view, &ops_);
-    return view;
+  [[gnu::noinline]] value_type* miss_flat(rt::Worker* w) {
+    views::ViewStoreSet& store = w->views();
+    return store.create_on_miss(
+        [&] { return mem::new_view<value_type>(monoid_.identity()); },
+        [&](value_type* v) { store.flat().install(flat_id_, v, base()); });
   }
 
-  value_type* miss_hypermap(rt::Worker* w) {
-    value_type* view = make_identity(w);
-    w->views().hypermap().install(this, view, &ops_);
-    return view;
+  [[gnu::noinline]] value_type* miss_hypermap(rt::Worker* w) {
+    views::ViewStoreSet& store = w->views();
+    return store.create_on_miss(
+        [&] { return mem::new_view<value_type>(monoid_.identity()); },
+        [&](value_type* v) { store.hypermap().install(base(), v); });
   }
 
   void collapse_view(value_type* view) {
     monoid_.reduce(leftmost_, *view);
-    ViewPool::instance().destroy(view);
+    mem::delete_view(view);
   }
 
-  static void* s_create_identity(void* r) {
+  static void s_reduce(ReducerBase* r, void* left, void* right) {
     auto* self = static_cast<reducer*>(r);
-    rt::Worker* w = rt::Worker::current();
-    return w ? self->make_identity(w)
-             : ViewPool::instance().create<value_type>(self->monoid_.identity());
-  }
-  static void s_reduce(void* r, void* left, void* right) {
-    auto* self = static_cast<reducer*>(r);
-    auto* l = static_cast<value_type*>(left);
     auto* rv = static_cast<value_type*>(right);
-    self->monoid_.reduce(*l, *rv);
-    ViewPool::instance().destroy(rv);
+    self->monoid_.reduce(*static_cast<value_type*>(left), *rv);
+    mem::delete_view(rv);
   }
-  static void s_destroy(void*, void* view) {
-    ViewPool::instance().destroy(static_cast<value_type*>(view));
-  }
-  static void s_collapse(void* r, void* view) {
+  static void s_collapse(ReducerBase* r, void* view) {
     static_cast<reducer*>(r)->collapse_view(static_cast<value_type*>(view));
   }
 
-  M monoid_;
+  static constexpr ViewOps kOps{&s_reduce, &s_collapse};
+
+  [[no_unique_address]] M monoid_;
   value_type leftmost_;
   std::uint64_t tlmm_addr_ = 0;  // mm policy key
   std::uint32_t flat_id_ = 0;    // flat policy key
-  ViewOps ops_{};
 };
 
 }  // namespace cilkm

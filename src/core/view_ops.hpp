@@ -1,26 +1,37 @@
 // The runtime/library ABI for reducer hyperobjects, mirroring the monoid
 // interface of the Cilk Plus reducer API (paper Section 3): the runtime
-// invokes IDENTITY (create_identity), REDUCE (reduce), plus destroy and a
-// collapse-into-leftmost operation used at quiescence. One ViewOps instance
-// is embedded in each reducer object; SPA-map slots and hypermap entries
-// store (view pointer, ViewOps pointer) side by side so the hypermerge
-// process can reach the monoid without touching the reducer.
+// invokes REDUCE, plus a collapse-into-leftmost operation used at
+// quiescence. Identity views are created by the reducer itself on a lookup
+// miss, so the runtime never needs an IDENTITY callback.
+//
+// Each reducer type has ONE static constexpr ViewOps table, and every
+// reducer object starts with a ReducerBase that points at it. SPA-map slots,
+// flat slots and hypermap entries therefore store only (view, reducer): the
+// reducer pointer is the hypermap key, and it reaches the monoid through
+// its table without a per-object copy of the callbacks.
 #pragma once
 
 namespace cilkm {
 
+struct ReducerBase;
+
 struct ViewOps {
-  /// Allocate and return a new identity view.
-  void* (*create_identity)(void* reducer);
   /// left = left ⊗ right; destroys the right view.
-  void (*reduce)(void* reducer, void* left_view, void* right_view);
-  /// Destroy a view without folding it (error paths only).
-  void (*destroy)(void* reducer, void* view);
+  void (*reduce)(ReducerBase* reducer, void* left_view, void* right_view);
   /// leftmost = leftmost ⊗ view; destroys the view. Called by the worker
   /// that completes the root task, and by the reducer destructor.
-  void (*collapse)(void* reducer, void* view);
-  /// The owning reducer instance, passed back to every callback.
-  void* reducer;
+  void (*collapse)(ReducerBase* reducer, void* view);
+};
+
+/// The base of every reducer object: a pointer to its type's callback
+/// table.
+struct ReducerBase {
+  const ViewOps* ops;
+
+  void reduce(void* left_view, void* right_view) {
+    ops->reduce(this, left_view, right_view);
+  }
+  void collapse(void* view) { ops->collapse(this, view); }
 };
 
 }  // namespace cilkm

@@ -7,12 +7,14 @@
 //
 // View transferal in this scheme is cheap by design ("switching a few
 // pointers"): a deposit simply moves the HyperMap object.
+//
+// An entry is just {key, view}: the view store keys the map by the
+// reducer's ReducerBase address, which already leads to the monoid.
 #pragma once
 
 #include <cstdint>
 #include <utility>
 
-#include "core/view_ops.hpp"
 #include "mem/internal_alloc.hpp"
 #include "util/assert.hpp"
 
@@ -21,8 +23,8 @@ namespace cilkm::hypermap {
 struct Entry {
   const void* key = nullptr;  // reducer address
   void* view = nullptr;
-  const ViewOps* ops = nullptr;
 };
+static_assert(sizeof(Entry) == 16, "a hypermap entry is a pointer pair");
 
 class HyperMap {
  public:
@@ -59,11 +61,11 @@ class HyperMap {
   /// is enforced in every build mode: a duplicate insert would corrupt
   /// size_ and leak the old view, and the probe walk reads each key anyway,
   /// so the check is free.
-  void insert(const void* key, void* view, const ViewOps* ops) {
+  void insert(const void* key, void* view) {
     if (size_ + 1 > capacity_ - capacity_ / 4) expand();
     const std::size_t i = probe(key);
     CILKM_CHECK(table_[i].key == nullptr, "duplicate hypermap insertion");
-    table_[i] = Entry{key, view, ops};
+    table_[i] = Entry{key, view};
     ++size_;
   }
 
@@ -71,17 +73,16 @@ class HyperMap {
   /// Returns the replaced view (the caller owns destroying it), or nullptr
   /// if the key was absent. A replacement changes neither size() nor
   /// capacity().
-  void* insert_or_assign(const void* key, void* view, const ViewOps* ops) {
+  void* insert_or_assign(const void* key, void* view) {
     if (capacity_ != 0) {
       Entry& e = table_[probe(key)];
       if (e.key == key) {
         void* old = e.view;
         e.view = view;
-        e.ops = ops;
         return old;
       }
     }
-    insert(key, view, ops);
+    insert(key, view);
     return nullptr;
   }
 
@@ -149,10 +150,10 @@ class HyperMap {
 
   /// Rehash path only: keys come from the old table, so they are unique by
   /// construction and the duplicate check can stay debug-only here.
-  void insert_nogrow(const void* key, void* view, const ViewOps* ops) noexcept {
+  void insert_nogrow(const void* key, void* view) noexcept {
     const std::size_t i = probe(key);
     CILKM_DCHECK(table_[i].key == nullptr, "duplicate hypermap insertion");
-    table_[i] = Entry{key, view, ops};
+    table_[i] = Entry{key, view};
     ++size_;
   }
 
@@ -165,7 +166,7 @@ class HyperMap {
     size_ = 0;
     for (std::size_t i = 0; i < old_cap; ++i) {
       if (old_table[i].key != nullptr) {
-        insert_nogrow(old_table[i].key, old_table[i].view, old_table[i].ops);
+        insert_nogrow(old_table[i].key, old_table[i].view);
       }
     }
     free_table(old_table, old_cap);

@@ -1,5 +1,6 @@
 #include "mem/internal_alloc.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <mutex>
@@ -8,6 +9,34 @@
 #include "chaos/chaos.hpp"
 
 namespace cilkm::mem {
+
+namespace {
+
+// Chunks and oversize blocks start on a cache line (see view_block_bytes).
+constexpr std::align_val_t kLineAlign{kCacheLineSize};
+
+/// CAS-max `peak` up to `live`. A live count with the top bit set has
+/// wrapped below zero: magazines fold their deltas in at different times,
+/// so one that freed blocks another allocated can fold its negative delta
+/// first. That transient is never a peak.
+void raise_peak(std::atomic<std::uint64_t>& peak, std::uint64_t live) noexcept {
+  if (static_cast<std::int64_t>(live) < 0) return;
+  std::uint64_t seen = peak.load(std::memory_order_relaxed);
+  while (live > seen &&
+         !peak.compare_exchange_weak(seen, live, std::memory_order_relaxed)) {
+  }
+}
+
+/// Add a signed delta to a live counter; returns the new count, which
+/// raise_peak reads as signed. Adding a negative delta's two's-complement
+/// image subtracts it.
+std::uint64_t fold(std::atomic<std::uint64_t>& live,
+                   std::int64_t delta) noexcept {
+  const auto d = static_cast<std::uint64_t>(delta);
+  return live.fetch_add(d, std::memory_order_relaxed) + d;
+}
+
+}  // namespace
 
 InternalAlloc::InternalAlloc(const topo::Topology* topology)
     : nodes_(topology != nullptr ? *topology : topo::Topology::machine()),
@@ -27,7 +56,7 @@ InternalAlloc::~InternalAlloc() {
                  report.describe().c_str());
   }
 #endif
-  for (void* chunk : chunks_owned_) ::operator delete(chunk);
+  for (void* chunk : chunks_owned_) ::operator delete(chunk, kLineAlign);
 }
 
 InternalAlloc& InternalAlloc::instance() {
@@ -51,21 +80,10 @@ InternalAlloc::Magazine::~Magazine() {
 
 void InternalAlloc::note_alloc(TagCounters& c, std::size_t bytes) noexcept {
   c.allocs.fetch_add(1, std::memory_order_relaxed);
-  const std::uint64_t blocks =
-      c.live_blocks.fetch_add(1, std::memory_order_relaxed) + 1;
-  const std::uint64_t total =
-      c.live_bytes.fetch_add(bytes, std::memory_order_relaxed) + bytes;
   // CAS-max peaks: racing updates keep the maximum either way.
-  std::uint64_t peak = c.peak_blocks.load(std::memory_order_relaxed);
-  while (blocks > peak &&
-         !c.peak_blocks.compare_exchange_weak(peak, blocks,
-                                              std::memory_order_relaxed)) {
-  }
-  peak = c.peak_bytes.load(std::memory_order_relaxed);
-  while (total > peak &&
-         !c.peak_bytes.compare_exchange_weak(peak, total,
-                                             std::memory_order_relaxed)) {
-  }
+  raise_peak(c.peak_blocks, fold(c.live_blocks, 1));
+  raise_peak(c.peak_bytes,
+             fold(c.live_bytes, static_cast<std::int64_t>(bytes)));
 }
 
 void InternalAlloc::note_free(TagCounters& c, std::size_t bytes) noexcept {
@@ -78,48 +96,32 @@ void InternalAlloc::reconcile(Magazine& mag, AllocTag tag) noexcept {
   if (p.allocs == 0 && p.blocks == 0 && p.bytes == 0) return;
   TagCounters& c = counters_[static_cast<std::size_t>(tag)];
   c.allocs.fetch_add(p.allocs, std::memory_order_relaxed);
-  // Negative deltas ride two's-complement wraparound of the unsigned add.
-  const std::uint64_t blocks =
-      c.live_blocks.fetch_add(static_cast<std::uint64_t>(p.blocks),
-                              std::memory_order_relaxed) +
-      static_cast<std::uint64_t>(p.blocks);
-  const std::uint64_t bytes =
-      c.live_bytes.fetch_add(static_cast<std::uint64_t>(p.bytes),
-                             std::memory_order_relaxed) +
-      static_cast<std::uint64_t>(p.bytes);
-  std::uint64_t peak = c.peak_blocks.load(std::memory_order_relaxed);
-  while (blocks > peak &&
-         !c.peak_blocks.compare_exchange_weak(peak, blocks,
-                                              std::memory_order_relaxed)) {
-  }
-  peak = c.peak_bytes.load(std::memory_order_relaxed);
-  while (bytes > peak &&
-         !c.peak_bytes.compare_exchange_weak(peak, bytes,
-                                             std::memory_order_relaxed)) {
-  }
+  raise_peak(c.peak_blocks, fold(c.live_blocks, p.blocks));
+  raise_peak(c.peak_bytes, fold(c.live_bytes, p.bytes));
   p = {};
 }
 
-InternalAlloc::FreeNode* InternalAlloc::carve_chunk(AllocTag tag, int cls) {
+InternalAlloc::Carved InternalAlloc::carve_chunk(AllocTag tag, int cls) {
   const std::size_t slot = kClassSizes[static_cast<std::size_t>(cls)];
-  void* chunk = ::operator new(kChunkBytes);
+  void* chunk = ::operator new(kChunkBytes, kLineAlign);
   if (tag_zeroes_chunks(tag)) std::memset(chunk, 0, kChunkBytes);
   {
     std::lock_guard guard(chunk_lock_);
     chunks_owned_.push_back(chunk);
   }
   chunks_count_.fetch_add(1, std::memory_order_relaxed);
+  // Link the blocks in address order: head is the chunk's first block.
   auto* bytes = static_cast<std::byte*>(chunk);
   const std::size_t slots = kChunkBytes / slot;
-  FreeNode* head = nullptr;
-  for (std::size_t i = 0; i < slots; ++i) {
-    auto* node = reinterpret_cast<FreeNode*>(bytes + i * slot);
-    node->next = head;
-    head = node;
+  for (std::size_t i = 0; i + 1 < slots; ++i) {
+    reinterpret_cast<FreeNode*>(bytes + i * slot)->next =
+        reinterpret_cast<FreeNode*>(bytes + (i + 1) * slot);
   }
+  auto* tail = reinterpret_cast<FreeNode*>(bytes + (slots - 1) * slot);
+  tail->next = nullptr;
   counters_[static_cast<std::size_t>(tag)].carved_blocks.fetch_add(
       slots, std::memory_order_relaxed);
-  return head;
+  return {reinterpret_cast<FreeNode*>(bytes), tail, slots};
 }
 
 void InternalAlloc::refill(Magazine& mag, AllocTag tag, int cls) {
@@ -135,12 +137,13 @@ void InternalAlloc::refill(Magazine& mag, AllocTag tag, int cls) {
   const auto c = static_cast<std::size_t>(cls);
   reconcile(mag, tag);  // batch-exchange point: fold the stat deltas in
   counters_[t].refills.fetch_add(1, std::memory_order_relaxed);
+  const std::size_t want = batch(tag);
   Shard& s = shard(magazine_node(mag), tag, cls);
   {
     // Grab a batch from the node's shard first.
     std::lock_guard guard(s.lock);
     std::size_t moved = 0;
-    while (s.head != nullptr && moved < kBatch) {
+    while (s.head != nullptr && moved < want) {
       FreeNode* node = s.head;
       s.head = node->next;
       --s.count;
@@ -156,25 +159,19 @@ void InternalAlloc::refill(Magazine& mag, AllocTag tag, int cls) {
   // the remainder parks in the shard (dumping a whole chunk into the
   // magazine would blow past the high-water mark and drain-storm on the
   // very next free).
-  FreeNode* head = carve_chunk(tag, cls);
-  std::uint32_t taken = 0;
-  while (head != nullptr && taken < kBatch) {
-    FreeNode* node = head;
-    head = node->next;
-    node->next = mag.head[t][c];
-    mag.head[t][c] = node;
-    ++taken;
-  }
-  mag.count[t][c] += taken;
-  if (head != nullptr) {
-    std::size_t rest = 0;
-    for (FreeNode* n = head; n != nullptr; n = n->next) ++rest;
-    FreeNode* tail = head;
-    while (tail->next != nullptr) tail = tail->next;
+  const Carved chunk = carve_chunk(tag, cls);
+  const std::size_t taken = std::min(want, chunk.count);
+  FreeNode* last = chunk.head;
+  for (std::size_t i = 1; i < taken; ++i) last = last->next;
+  FreeNode* rest = last->next;
+  last->next = mag.head[t][c];
+  mag.head[t][c] = chunk.head;
+  mag.count[t][c] += static_cast<std::uint32_t>(taken);
+  if (rest != nullptr) {
     std::lock_guard guard(s.lock);
-    tail->next = s.head;
-    s.head = head;
-    s.count += rest;
+    chunk.tail->next = s.head;
+    s.head = rest;
+    s.count += chunk.count - taken;
   }
 }
 
@@ -220,20 +217,14 @@ void* InternalAlloc::allocate_from_shard(AllocTag tag, int cls) {
   // Carve, keep one block, park the rest in the shard.
   counters_[static_cast<std::size_t>(tag)].refills.fetch_add(
       1, std::memory_order_relaxed);
-  FreeNode* head = carve_chunk(tag, cls);
-  FreeNode* taken = head;
-  head = head->next;
-  std::size_t rest = 0;
-  for (FreeNode* n = head; n != nullptr; n = n->next) ++rest;
-  if (head != nullptr) {
-    FreeNode* tail = head;
-    while (tail->next != nullptr) tail = tail->next;
+  const Carved chunk = carve_chunk(tag, cls);
+  if (chunk.count > 1) {
     std::lock_guard guard(s.lock);
-    tail->next = s.head;
-    s.head = head;
-    s.count += rest;
+    chunk.tail->next = s.head;
+    s.head = chunk.head->next;
+    s.count += chunk.count - 1;
   }
-  return taken;
+  return chunk.head;
 }
 
 void* InternalAlloc::allocate(std::size_t bytes, AllocTag tag, Magazine* mag) {
@@ -244,7 +235,7 @@ void* InternalAlloc::allocate(std::size_t bytes, AllocTag tag, Magazine* mag) {
     // double), then count; the stats must never record an allocation that
     // never happened. Tag-counted so the leak check and the mem: stats
     // cover oversize blocks too.
-    void* p = ::operator new(bytes);
+    void* p = ::operator new(bytes, kLineAlign);
     note_alloc(counters_[t], bytes);
     return p;
   }
@@ -281,7 +272,7 @@ void InternalAlloc::deallocate(void* p, std::size_t bytes, AllocTag tag,
   const int cls = size_class(bytes);
   if (cls < 0) {
     note_free(counters_[t], bytes);
-    ::operator delete(p);
+    ::operator delete(p, kLineAlign);
     return;
   }
   auto* node = static_cast<FreeNode*>(p);
@@ -304,8 +295,8 @@ void InternalAlloc::deallocate(void* p, std::size_t bytes, AllocTag tag,
   const auto c = static_cast<std::size_t>(cls);
   node->next = mag->head[t][c];
   mag->head[t][c] = node;
-  if (++mag->count[t][c] > kHighWater) {
-    drain(*mag, tag, cls, kHighWater - kBatch);  // rebalance, Hoard-style
+  if (++mag->count[t][c] > high_water(tag)) {
+    drain(*mag, tag, cls, high_water(tag) - batch(tag));  // Hoard-style
   }
 }
 

@@ -5,19 +5,20 @@
 // One layer serves every internal consumer, keyed by size class × AllocTag:
 //
 //   tag             consumer                       block
-//   kViews          reducer views (ViewPool)       16..256 B typically
+//   kViews          reducer views (new_view)       whole cache lines
 //   kSpaPages       public SPA maps (PagePool)     4096 B, zeroed chunks
-//   kHypermapNodes  HyperMap entry tables          384 B+ (class-rounded)
+//   kHypermapNodes  HyperMap entry tables          256 B+ (class-rounded)
 //   kFiberStacks    Fiber headers (StackPool)      ~128 B (stacks are mmap'd)
 //   kFrames         heap-allocated SpawnFrames     ~256 B
 //   kGeneral        everything else
 //
 // Each thread holds a Magazine: free lists per (tag, class) exchanging
-// kBatch-sized batches with the global pool, which is sharded per NUMA node
+// batch(tag)-sized batches with the global pool, which is sharded per NUMA node
 // (shard chosen from the worker's pinned CPU via topo::Topology; flat
 // single-shard fallback when there is one node). Chunks are carved on the
 // allocating thread, so first touch lands on the worker's node and mm views
-// stay node-local end to end.
+// stay node-local end to end. Chunks start on a cache line, and views are
+// allocated in whole lines (new_view below), so no two views share a line.
 //
 // Every tag keeps relaxed-atomic live/peak/refill counters (readable from
 // any thread — the stats surface of cilkm_run's mem: rows), and the
@@ -89,9 +90,24 @@ class InternalAlloc {
   static constexpr std::size_t kClassSizes[] = {16,  32,   64,   128, 256,
                                                 512, 1024, 2048, 4096};
   static constexpr std::size_t kNumClasses = std::size(kClassSizes);
-  static constexpr std::size_t kBatch = 16;
-  static constexpr std::size_t kHighWater = 64;
   static constexpr std::size_t kChunkBytes = 64 * 1024;
+
+  /// Blocks moved per magazine <-> shard exchange. Views arrive in bursts:
+  /// a stolen continuation creates a fresh view for every reducer it
+  /// touches, up to 1024 at once with 1024 reducers, and a join frees them
+  /// in one hypermerge. A 256-view batch makes such a burst cost 4
+  /// exchanges rather than 64, and the high-water mark of 1024 views lets
+  /// the freeing worker keep a whole burst for its own next one. Every
+  /// other tag keeps the default, so no other tag moves more bytes per
+  /// exchange than it used to.
+  static constexpr std::size_t batch(AllocTag tag) noexcept {
+    return tag == AllocTag::kViews ? 256 : 16;
+  }
+  /// A magazine list that grows past this mark drains a batch back to its
+  /// shard.
+  static constexpr std::size_t high_water(AllocTag tag) noexcept {
+    return 4 * batch(tag);
+  }
 
   /// Class index serving `bytes`, or -1 for the operator-new fall-through
   /// (sizes above the largest class; still tag-counted).
@@ -265,10 +281,17 @@ class InternalAlloc {
                          : nodes_.current_shard();
   }
 
+  /// A freshly carved chunk as one free list.
+  struct Carved {
+    FreeNode* head;
+    FreeNode* tail;
+    std::size_t count;
+  };
+
   void refill(Magazine& mag, AllocTag tag, int cls);
   void drain(Magazine& mag, AllocTag tag, int cls, std::size_t keep);
   void reconcile(Magazine& mag, AllocTag tag) noexcept;
-  FreeNode* carve_chunk(AllocTag tag, int cls);
+  Carved carve_chunk(AllocTag tag, int cls);
   void* allocate_from_shard(AllocTag tag, int cls);
 
   static void note_alloc(TagCounters& c, std::size_t bytes) noexcept;
@@ -284,5 +307,38 @@ class InternalAlloc {
   std::vector<void*> chunks_owned_;
   std::atomic<std::size_t> chunks_count_{0};
 };
+
+/// Bytes a reducer view of `bytes` occupies: a whole number of cache
+/// lines. Chunks are line-aligned and every class from 64 B up is a multiple
+/// of the line, so each view block starts on its own line. No two views —
+/// in particular no two workers' views — ever share one, whichever worker
+/// allocated or freed the block.
+constexpr std::size_t view_block_bytes(std::size_t bytes) noexcept {
+  return (bytes + kCacheLineSize - 1) / kCacheLineSize * kCacheLineSize;
+}
+
+/// Construct a reducer view in the calling thread's kViews magazine. The
+/// single allocate/free pair every reducer policy uses.
+template <typename T, typename... Args>
+T* new_view(Args&&... args) {
+  static_assert(alignof(T) <= kCacheLineSize,
+                "views are aligned to a cache line, not beyond");
+  constexpr std::size_t kBytes = view_block_bytes(sizeof(T));
+  InternalAlloc& alloc = InternalAlloc::instance();
+  void* p = alloc.allocate(kBytes, AllocTag::kViews);
+  try {
+    return ::new (p) T(static_cast<Args&&>(args)...);
+  } catch (...) {
+    alloc.deallocate(p, kBytes, AllocTag::kViews);
+    throw;
+  }
+}
+
+template <typename T>
+void delete_view(T* view) {
+  view->~T();
+  InternalAlloc::instance().deallocate(view, view_block_bytes(sizeof(T)),
+                                       AllocTag::kViews);
+}
 
 }  // namespace cilkm::mem

@@ -1,7 +1,7 @@
 // The sparse-accumulator (SPA) map of paper Section 6, bit-for-bit at the
 // sizes the paper specifies: each map is one 4096-byte page holding
 //   - a view array of 248 elements, each a pair of 8-byte pointers
-//     (local view, monoid/ViewOps),
+//     (local view, owning reducer — whose ReducerBase reaches the monoid),
 //   - a log array of 120 one-byte indices of valid view-array elements,
 //   - the 4-byte number of valid elements, and
 //   - the 4-byte number of logs.
@@ -25,8 +25,8 @@ inline constexpr std::uint32_t kLogsOverflowed = 0xffffffffu;
 
 /// One element of the view array: 16 bytes, recycled as a unit.
 struct ViewSlot {
-  void* view;           // null when the slot is empty or unclaimed
-  const ViewOps* ops;   // null iff view is null
+  void* view;             // null when the slot is empty or unclaimed
+  ReducerBase* reducer;   // null iff view is null
 
   bool empty() const noexcept { return view == nullptr; }
 };

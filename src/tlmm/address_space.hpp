@@ -6,7 +6,7 @@
 //
 // This module exists to validate the *kernel-side* semantics the paper relies
 // on; the production reducer path uses the fast user-space emulation in
-// region.hpp (see DESIGN.md, substitution table).
+// region.hpp (see README, "Substitutions").
 #pragma once
 
 #include <array>

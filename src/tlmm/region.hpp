@@ -1,5 +1,5 @@
-// Fast user-space emulation of a worker's TLMM region (DESIGN.md
-// substitution (b)). Each worker owns one contiguous, lazily committed
+// Fast user-space emulation of a worker's TLMM region (README,
+// "Substitutions", row (b)). Each worker owns one contiguous, lazily committed
 // private region; a reducer stores a byte offset into it (its tlmm_addr).
 // The hardware page-table walk of TLMM-Linux is replaced by one initial-exec
 // TLS load of the current worker's region base, so a reducer lookup costs

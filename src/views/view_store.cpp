@@ -15,20 +15,6 @@ SpaViewStore::~SpaViewStore() {
   spa::SlotAllocator::instance().flush(slot_cache_);
 }
 
-void SpaViewStore::install(std::uint64_t offset, void* view,
-                           const ViewOps* ops) {
-  ScopedTimerNs timer((*stats_)[StatCounter::kViewInsertNs]);
-  const std::uint32_t page_idx = spa::offset_page(offset);
-  spa::SpaPage* page = page_at(page_idx);
-  spa::ViewSlot* slot = slot_at(offset);
-  CILKM_DCHECK(slot->empty(), "installing over a live view");
-  slot->view = view;
-  slot->ops = ops;
-  const bool first_in_page = page->num_valid == 0;
-  page->note_insert(spa::offset_index(offset));
-  if (first_in_page) touched_pages_.push_back(page_idx);
-}
-
 void* SpaViewStore::extract(std::uint64_t offset) {
   spa::ViewSlot* slot = slot_at(offset);
   if (slot->empty()) return nullptr;
@@ -73,7 +59,7 @@ void SpaViewStore::deposit(std::vector<spa::SpaDepositEntry>* out) {
 void SpaViewStore::install_deposit(std::vector<spa::SpaDepositEntry>* in) {
   for (auto& [page_idx, pub] : *in) {
     pub->for_each_valid([&](std::uint32_t idx, spa::ViewSlot& dslot) {
-      install(spa::slot_offset(page_idx, idx), dslot.view, dslot.ops);
+      install(spa::slot_offset(page_idx, idx), dslot.view, dslot.reducer);
       dslot = spa::ViewSlot{nullptr, nullptr};
     });
     pub->num_valid = 0;
@@ -90,13 +76,13 @@ void SpaViewStore::merge(std::vector<spa::SpaDepositEntry>* in,
       const std::uint64_t offset = spa::slot_offset(page_idx, idx);
       spa::ViewSlot* mine = slot_at(offset);
       if (mine->empty()) {
-        install(offset, dslot.view, dslot.ops);
+        install(offset, dslot.view, dslot.reducer);
       } else if (deposit_is_left) {
         // Deposit is serially earlier: fold our view into it, then adopt it.
-        dslot.ops->reduce(dslot.ops->reducer, dslot.view, mine->view);
+        dslot.reducer->reduce(dslot.view, mine->view);
         mine->view = dslot.view;
       } else {
-        mine->ops->reduce(mine->ops->reducer, mine->view, dslot.view);
+        mine->reducer->reduce(mine->view, dslot.view);
       }
       dslot = spa::ViewSlot{nullptr, nullptr};
     });
@@ -112,7 +98,7 @@ void SpaViewStore::collapse_into_leftmosts() {
     spa::SpaPage* page = page_at(page_idx);
     if (page->all_empty()) continue;
     page->for_each_valid([&](std::uint32_t, spa::ViewSlot& slot) {
-      slot.ops->collapse(slot.ops->reducer, slot.view);
+      slot.reducer->collapse(slot.view);
       slot = spa::ViewSlot{nullptr, nullptr};
     });
     page->num_valid = 0;
@@ -125,11 +111,14 @@ void SpaViewStore::collapse_into_leftmosts() {
 // HyperMapViewStore
 // ---------------------------------------------------------------------------
 
-void HyperMapViewStore::install(const void* key, void* view,
-                                const ViewOps* ops) {
-  ScopedTimerNs timer((*stats_)[StatCounter::kViewInsertNs]);
-  map_.insert(key, view, ops);
+namespace {
+
+/// The reducer owning a hypermap entry: the store keys entries by it.
+ReducerBase* owner(const hypermap::Entry& e) {
+  return static_cast<ReducerBase*>(const_cast<void*>(e.key));
 }
+
+}  // namespace
 
 void* HyperMapViewStore::extract(const void* key) {
   hypermap::Entry* entry = map_.lookup(key);
@@ -152,24 +141,22 @@ void HyperMapViewStore::merge(hypermap::HyperMap&& deposit,
   deposit.for_each([&](hypermap::Entry& e) {
     hypermap::Entry* mine = map_.lookup(e.key);
     if (mine == nullptr) {
-      map_.insert(e.key, e.view, e.ops);
+      map_.insert(e.key, e.view);
       return;
     }
     if (deposit_is_left) {
       // e is serially earlier: result = e.view ⊗ mine->view, kept in e.view.
-      e.ops->reduce(e.ops->reducer, e.view, mine->view);
+      owner(e)->reduce(e.view, mine->view);
       mine->view = e.view;
     } else {
-      mine->ops->reduce(mine->ops->reducer, mine->view, e.view);
+      owner(*mine)->reduce(mine->view, e.view);
     }
   });
   deposit = hypermap::HyperMap{};
 }
 
 void HyperMapViewStore::collapse_into_leftmosts() {
-  map_.for_each([&](hypermap::Entry& e) {
-    e.ops->collapse(e.ops->reducer, e.view);
-  });
+  map_.for_each([&](hypermap::Entry& e) { owner(e)->collapse(e.view); });
   map_.clear();
 }
 
@@ -177,16 +164,15 @@ void HyperMapViewStore::collapse_into_leftmosts() {
 // FlatViewStore
 // ---------------------------------------------------------------------------
 
-void FlatViewStore::install(std::uint32_t id, void* view, const ViewOps* ops) {
-  ScopedTimerNs timer((*stats_)[StatCounter::kViewInsertNs]);
+void FlatViewStore::install(std::uint32_t id, void* view,
+                            ReducerBase* reducer) {
   if (id >= slots_.size()) {
     slots_.resize(static_cast<std::size_t>(id) + 1,
                   spa::ViewSlot{nullptr, nullptr});
   }
   spa::ViewSlot& slot = slots_[id];
   CILKM_DCHECK(slot.empty(), "installing over a live flat view");
-  slot.view = view;
-  slot.ops = ops;
+  slot = spa::ViewSlot{view, reducer};
   touched_.push_back(id);
 }
 
@@ -219,7 +205,7 @@ void FlatViewStore::deposit(std::vector<FlatDepositEntry>* out) {
 
 void FlatViewStore::install_deposit(std::vector<FlatDepositEntry>* in) {
   for (FlatDepositEntry& e : *in) {
-    install(e.id, e.slot.view, e.slot.ops);
+    install(e.id, e.slot.view, e.slot.reducer);
   }
   in->clear();
 }
@@ -230,12 +216,12 @@ void FlatViewStore::merge(std::vector<FlatDepositEntry>* in,
     spa::ViewSlot* mine =
         e.id < slots_.size() && !slots_[e.id].empty() ? &slots_[e.id] : nullptr;
     if (mine == nullptr) {
-      install(e.id, e.slot.view, e.slot.ops);
+      install(e.id, e.slot.view, e.slot.reducer);
     } else if (deposit_is_left) {
-      e.slot.ops->reduce(e.slot.ops->reducer, e.slot.view, mine->view);
+      e.slot.reducer->reduce(e.slot.view, mine->view);
       mine->view = e.slot.view;
     } else {
-      mine->ops->reduce(mine->ops->reducer, mine->view, e.slot.view);
+      mine->reducer->reduce(mine->view, e.slot.view);
     }
   }
   in->clear();
@@ -245,7 +231,7 @@ void FlatViewStore::collapse_into_leftmosts() {
   for (const std::uint32_t id : touched_) {
     spa::ViewSlot& slot = slots_[id];
     if (slot.empty()) continue;
-    slot.ops->collapse(slot.ops->reducer, slot.view);
+    slot.reducer->collapse(slot.view);
     slot = spa::ViewSlot{nullptr, nullptr};
   }
   touched_.clear();
@@ -269,6 +255,7 @@ void ViewStoreSet::deposit_ambient(ViewSetDeposit* out) {
 
 void ViewStoreSet::install_deposit(ViewSetDeposit* in) {
   CILKM_DCHECK(empty(), "install_deposit requires an empty ambient");
+  ScopedTimerNs timer((*stats_)[StatCounter::kViewInsertNs]);
   spa_.install_deposit(&in->spa);
   hypermap_.install_deposit(&in->hmap);
   flat_.install_deposit(&in->flat);

@@ -6,7 +6,8 @@
 // contract:
 //
 //   lookup   find the executing worker's local view of a reducer
-//   install  bind a freshly created identity view (lookup-miss path)
+//   install  bind a freshly created identity view (lookup-miss path) to
+//            its owning reducer — every slot is a (view, reducer) pair
 //   extract  unbind and return a view (reducer destruction)
 //   deposit  move ALL local views into a frame's deposit placeholder
 //            ("view transferal", paper Section 7)
@@ -36,20 +37,37 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <numeric>
 #include <vector>
 
 #include "core/view_ops.hpp"
 #include "hypermap/hypermap.hpp"
+#include "mem/internal_alloc.hpp"
 #include "spa/page_pool.hpp"
 #include "spa/slot_alloc.hpp"
 #include "spa/spa_map.hpp"
 #include "tlmm/region.hpp"
+#include "util/assert.hpp"
 #include "util/stats.hpp"
+#include "util/timing.hpp"
 
 namespace cilkm::views {
 
+/// The lookup-miss path reads the clock on one miss in this many per
+/// worker and charges that sample this many times over (paper Fig. 8's
+/// create and insert columns). A clock read costs more than the view it
+/// would time, so timing every miss would mostly measure the clock. The
+/// stride is prime, so it is coprime to the view magazine's batch. A
+/// stride sharing a factor with the batch would keep landing on the same
+/// positions in the refill cycle (with both at 64, only on the misses that
+/// refill) and overstate the mean several times over.
+inline constexpr std::uint32_t kMissSampleStride = 61;
+static_assert(std::gcd(std::size_t{kMissSampleStride},
+                       mem::InternalAlloc::batch(mem::AllocTag::kViews)) == 1,
+              "miss sampling must not lock onto the view refill cycle");
+
 /// One transferred flat-store view: the reducer's dense id plus the
-/// (view, ops) pair, the flat analogue of a public SPA-map entry.
+/// (view, reducer) pair, the flat analogue of a public SPA-map entry.
 struct FlatDepositEntry {
   std::uint32_t id;
   spa::ViewSlot slot;
@@ -97,8 +115,18 @@ class SpaViewStore {
   }
 
   /// Install a freshly created view into the private slot at `offset`
-  /// (the reducer lookup-miss path and the merge-adopt path).
-  void install(std::uint64_t offset, void* view, const ViewOps* ops);
+  /// (the reducer lookup-miss path and the merge-adopt path). Untimed: the
+  /// callers time it, per sampled miss or per bulk operation.
+  void install(std::uint64_t offset, void* view, ReducerBase* reducer) {
+    const std::uint32_t page_idx = spa::offset_page(offset);
+    spa::SpaPage* page = page_at(page_idx);
+    spa::ViewSlot* slot = slot_at(offset);
+    CILKM_DCHECK(slot->empty(), "installing over a live view");
+    *slot = spa::ViewSlot{view, reducer};
+    const bool first_in_page = page->num_valid == 0;
+    page->note_insert(spa::offset_index(offset));
+    if (first_in_page) touched_pages_.push_back(page_idx);
+  }
 
   /// Remove and return the view at `offset`, or nullptr (reducer dtor).
   void* extract(std::uint64_t offset);
@@ -128,11 +156,12 @@ class SpaViewStore {
 // HyperMapViewStore — the Cilk Plus baseline (hypermap_policy)
 // ---------------------------------------------------------------------------
 
-/// Wraps the worker-local HyperMap. A reducer's key is its address. View
+/// Wraps the worker-local HyperMap. A reducer's key is its ReducerBase
+/// address, so an entry {key, view} already names the owning reducer. View
 /// transferal is a pointer switch, as in Cilk Plus.
 class HyperMapViewStore {
  public:
-  explicit HyperMapViewStore(WorkerStats* stats) : stats_(stats) {}
+  HyperMapViewStore() = default;
 
   HyperMapViewStore(const HyperMapViewStore&) = delete;
   HyperMapViewStore& operator=(const HyperMapViewStore&) = delete;
@@ -144,7 +173,9 @@ class HyperMapViewStore {
     return map_.lookup(key);
   }
 
-  void install(const void* key, void* view, const ViewOps* ops);
+  void install(ReducerBase* reducer, void* view) {
+    map_.insert(reducer, view);
+  }
 
   /// Remove and return the view for `key`, or nullptr (reducer dtor).
   void* extract(const void* key);
@@ -164,17 +195,16 @@ class HyperMapViewStore {
 
  private:
   hypermap::HyperMap map_;
-  WorkerStats* stats_;
 };
 
 // ---------------------------------------------------------------------------
 // FlatViewStore — dense-id ablation (flat_policy)
 // ---------------------------------------------------------------------------
 
-/// A worker-indexed flat view array: reducer id → (view, ops), no hashing,
-/// no mmap emulation. Lookup is one bounds check and one array load — the
-/// cheapest conceivable implementation of the contract, which is exactly
-/// what makes it a useful third point in the ablation benches.
+/// A worker-indexed flat view array: reducer id → (view, reducer), no
+/// hashing, no mmap emulation. Lookup is one bounds check and one array
+/// load — the cheapest conceivable implementation of the contract, which is
+/// exactly what makes it a useful third point in the ablation benches.
 class FlatViewStore {
  public:
   explicit FlatViewStore(WorkerStats* stats) : stats_(stats) {}
@@ -187,7 +217,7 @@ class FlatViewStore {
     return id < slots_.size() ? slots_[id].view : nullptr;
   }
 
-  void install(std::uint32_t id, void* view, const ViewOps* ops);
+  void install(std::uint32_t id, void* view, ReducerBase* reducer);
 
   /// Remove and return the view for `id`, or nullptr (reducer dtor).
   void* extract(std::uint32_t id);
@@ -222,7 +252,7 @@ class FlatViewStore {
 class ViewStoreSet {
  public:
   explicit ViewStoreSet(WorkerStats* stats)
-      : spa_(stats), hypermap_(stats), flat_(stats), stats_(stats) {}
+      : spa_(stats), flat_(stats), stats_(stats) {}
 
   SpaViewStore& spa() noexcept { return spa_; }
   HyperMapViewStore& hypermap() noexcept { return hypermap_; }
@@ -231,10 +261,35 @@ class ViewStoreSet {
   /// True iff no store holds any live view.
   bool empty() const noexcept;
 
+  /// The lookup-miss path every policy shares: `create()` makes an
+  /// identity view and `install(view)` binds it in one store. kViewsCreated
+  /// counts every miss exactly; kViewCreateNs and kViewInsertNs are read
+  /// on one miss in kMissSampleStride and scaled up by the stride, so an
+  /// unsampled miss reads no clock at all.
+  template <typename Create, typename Install>
+  auto create_on_miss(Create&& create, Install&& install) {
+    ++(*stats_)[StatCounter::kViewsCreated];
+    if (--miss_countdown_ != 0) [[likely]] {
+      auto* view = create();
+      install(view);
+      return view;
+    }
+    miss_countdown_ = kMissSampleStride;
+    const std::uint64_t t0 = now_ns();
+    auto* view = create();
+    const std::uint64_t t1 = now_ns();
+    install(view);
+    const std::uint64_t t2 = now_ns();
+    (*stats_)[StatCounter::kViewCreateNs] += (t1 - t0) * kMissSampleStride;
+    (*stats_)[StatCounter::kViewInsertNs] += (t2 - t1) * kMissSampleStride;
+    return view;
+  }
+
   /// Move every local view of every store into `out` (view transferal).
   void deposit_ambient(ViewSetDeposit* out);
 
-  /// Adopt a full deposit; requires an empty ambient.
+  /// Adopt a full deposit; requires an empty ambient. Timed as one bulk
+  /// insertion (kViewInsertNs).
   void install_deposit(ViewSetDeposit* in);
 
   /// Hypermerge a deposit that is serially EARLIER than the ambient views
@@ -255,6 +310,7 @@ class ViewStoreSet {
   HyperMapViewStore hypermap_;
   FlatViewStore flat_;
   WorkerStats* stats_;
+  std::uint32_t miss_countdown_ = kMissSampleStride;
 };
 
 }  // namespace cilkm::views

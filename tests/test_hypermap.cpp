@@ -28,7 +28,7 @@ TEST(HyperMap, StartsEmptyWithNoTable) {
 TEST(HyperMap, InsertLookup) {
   HyperMap map;
   int view = 42;
-  map.insert(key(1), &view, nullptr);
+  map.insert(key(1), &view);
   auto* entry = map.lookup(key(1));
   ASSERT_NE(entry, nullptr);
   EXPECT_EQ(entry->view, &view);
@@ -39,7 +39,7 @@ TEST(HyperMap, InsertLookup) {
 TEST(HyperMap, GrowthPreservesAllEntries) {
   HyperMap map;
   std::vector<int> views(1000);
-  for (int i = 0; i < 1000; ++i) map.insert(key(i), &views[i], nullptr);
+  for (int i = 0; i < 1000; ++i) map.insert(key(i), &views[i]);
   EXPECT_EQ(map.size(), 1000u);
   EXPECT_GE(map.capacity(), 1024u);
   for (int i = 0; i < 1000; ++i) {
@@ -52,7 +52,7 @@ TEST(HyperMap, GrowthPreservesAllEntries) {
 TEST(HyperMap, EraseRepairsProbeChains) {
   HyperMap map;
   std::vector<int> views(300);
-  for (int i = 0; i < 300; ++i) map.insert(key(i), &views[i], nullptr);
+  for (int i = 0; i < 300; ++i) map.insert(key(i), &views[i]);
   // Erase every third key, then every remaining key must still be found.
   for (int i = 0; i < 300; i += 3) map.erase(key(i));
   EXPECT_EQ(map.size(), 200u);
@@ -70,7 +70,7 @@ TEST(HyperMap, EraseRepairsProbeChains) {
 TEST(HyperMap, EraseAbsentKeyIsNoop) {
   HyperMap map;
   int v = 0;
-  map.insert(key(1), &v, nullptr);
+  map.insert(key(1), &v);
   map.erase(key(2));
   EXPECT_EQ(map.size(), 1u);
 }
@@ -78,7 +78,7 @@ TEST(HyperMap, EraseAbsentKeyIsNoop) {
 TEST(HyperMap, ForEachVisitsEveryEntryOnce) {
   HyperMap map;
   std::vector<int> views(64);
-  for (int i = 0; i < 64; ++i) map.insert(key(i), &views[i], nullptr);
+  for (int i = 0; i < 64; ++i) map.insert(key(i), &views[i]);
   std::set<const void*> seen;
   map.for_each([&](cilkm::hypermap::Entry& e) {
     EXPECT_TRUE(seen.insert(e.key).second);
@@ -90,7 +90,7 @@ TEST(HyperMap, MoveTransfersOwnership) {
   // View transferal in the hypermap scheme is a pointer switch.
   HyperMap a;
   int v = 7;
-  a.insert(key(5), &v, nullptr);
+  a.insert(key(5), &v);
   HyperMap b = std::move(a);
   EXPECT_TRUE(a.empty());
   ASSERT_NE(b.lookup(key(5)), nullptr);
@@ -103,9 +103,9 @@ TEST(HyperMap, MoveTransfersOwnership) {
 TEST(HyperMap, SwapExchangesContents) {
   HyperMap a, b;
   int va = 1, vb = 2;
-  a.insert(key(1), &va, nullptr);
-  b.insert(key(2), &vb, nullptr);
-  b.insert(key(3), &vb, nullptr);
+  a.insert(key(1), &va);
+  b.insert(key(2), &vb);
+  b.insert(key(3), &vb);
   a.swap(b);
   EXPECT_EQ(a.size(), 2u);
   EXPECT_EQ(b.size(), 1u);
@@ -116,7 +116,7 @@ TEST(HyperMap, SwapExchangesContents) {
 TEST(HyperMap, ClearRemovesEverythingKeepsCapacity) {
   HyperMap map;
   int v = 0;
-  for (int i = 0; i < 50; ++i) map.insert(key(i), &v, nullptr);
+  for (int i = 0; i < 50; ++i) map.insert(key(i), &v);
   const std::size_t cap = map.capacity();
   map.clear();
   EXPECT_TRUE(map.empty());
@@ -130,18 +130,18 @@ TEST(HyperMapDeathTest, DuplicateInsertIsRejectedInAllBuildModes) {
   // leaked the old view. The precondition is now enforced unconditionally.
   HyperMap map;
   int v1 = 1, v2 = 2;
-  map.insert(key(1), &v1, nullptr);
-  EXPECT_DEATH(map.insert(key(1), &v2, nullptr),
+  map.insert(key(1), &v1);
+  EXPECT_DEATH(map.insert(key(1), &v2),
                "duplicate hypermap insertion");
 }
 
 TEST(HyperMap, InsertOrAssignReplacesInPlace) {
   HyperMap map;
   int v1 = 1, v2 = 2;
-  EXPECT_EQ(map.insert_or_assign(key(1), &v1, nullptr), nullptr);
+  EXPECT_EQ(map.insert_or_assign(key(1), &v1), nullptr);
   EXPECT_EQ(map.size(), 1u);
   // Replacement returns the old view (caller owns it) and keeps size_.
-  void* old = map.insert_or_assign(key(1), &v2, nullptr);
+  void* old = map.insert_or_assign(key(1), &v2);
   EXPECT_EQ(old, &v1);
   EXPECT_EQ(map.size(), 1u);
   ASSERT_NE(map.lookup(key(1)), nullptr);
@@ -165,7 +165,7 @@ TEST(HyperMap, EraseRepairsWrappedProbeChain) {
   ASSERT_EQ(tail_home_keys.size(), 3u) << "need 3 keys homing to slot 15";
 
   int v = 0;
-  for (const void* k : tail_home_keys) map.insert(k, &v, nullptr);
+  for (const void* k : tail_home_keys) map.insert(k, &v);
   ASSERT_EQ(map.capacity(), cap);  // no growth: the chain really wraps
 
   map.erase(tail_home_keys[0]);  // head of the chain, at the home slot
@@ -196,7 +196,7 @@ TEST(HyperMap, RandomizedOpsMirrorUnorderedMap) {
     switch (rng.below(3)) {
       case 0: {  // insert if absent
         if (mirror.find(key(i)) == mirror.end()) {
-          map.insert(key(i), &views[i], nullptr);
+          map.insert(key(i), &views[i]);
           mirror.emplace(key(i), &views[i]);
         }
         break;
@@ -237,7 +237,7 @@ TEST(HyperMap, AdversarialCollidingKeysStillWork) {
     keys.push_back(blocks.back().get());
   }
   int v = 0;
-  for (const void* k : keys) map.insert(k, &v, nullptr);
+  for (const void* k : keys) map.insert(k, &v);
   for (const void* k : keys) EXPECT_NE(map.lookup(k), nullptr);
 }
 

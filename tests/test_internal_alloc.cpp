@@ -1,8 +1,10 @@
 // The tagged, NUMA-sharded internal allocator (src/mem/): size-class
-// round-trips, per-tag accounting, magazine refill/flush batching,
-// cross-worker frees, the teardown leak check, node-shard selection against
-// canned sysfs topologies, the consumers rewired through it (SpawnFrame,
-// HyperMap tables, fiber headers), the StackPool's per-node trim — and a
+// round-trips, per-tag accounting (and peaks that survive cross-magazine
+// frees), magazine refill/flush batching, cross-worker frees, the teardown
+// leak check, node-shard selection against canned sysfs topologies, the
+// view pool reducers allocate from (mem::new_view / mem::delete_view), the
+// consumers rewired through it (SpawnFrame, HyperMap tables, fiber
+// headers), the StackPool's per-node trim — and a
 // DPRNG-driven property test that random view merge/collapse orders keep
 // the allocator's books balanced under all three view-store policies.
 #include <gtest/gtest.h>
@@ -10,6 +12,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -27,6 +30,7 @@
 #include "runtime/stack_pool.hpp"
 #include "test_support.hpp"
 #include "topo/topology.hpp"
+#include "util/cache.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -140,6 +144,41 @@ TEST(InternalAlloc, TagAccountingTracksLiveAndPeak) {
   EXPECT_EQ(stats.peak_bytes, 10u * 64);
 }
 
+TEST(InternalAlloc, PeakStaysAtTrueMaximumWhenFreesReconcileFirst) {
+  // Magazine B frees 10 blocks magazine A allocated, and B folds its stat
+  // deltas in first: the live count dips below zero until A folds in. A
+  // third magazine's 5 allocations land while it is still negative. Neither
+  // transient may register as a peak; at most 10 blocks were ever live.
+  const Topology topo = Topology::flat(4);
+  InternalAlloc alloc(&topo);
+  InternalAlloc::Magazine a, b, c;
+  auto expect_peak_at_most_10 = [&] {
+    const auto stats = alloc.tag_stats(AllocTag::kViews);
+    EXPECT_LE(stats.peak_blocks, 10u);
+    EXPECT_LE(stats.peak_bytes, 10u * 64);
+  };
+  std::vector<void*> ptrs;
+  for (int i = 0; i < 10; ++i) {
+    ptrs.push_back(alloc.allocate(64, AllocTag::kViews, &a));
+  }
+  for (void* p : ptrs) alloc.deallocate(p, 64, AllocTag::kViews, &b);
+  alloc.flush(b);  // live: -10
+  expect_peak_at_most_10();
+  ptrs.clear();
+  for (int i = 0; i < 5; ++i) {
+    ptrs.push_back(alloc.allocate(64, AllocTag::kViews, &c));
+  }
+  alloc.flush(c);  // live: -5
+  expect_peak_at_most_10();
+  alloc.flush(a);  // live: 5, C's blocks
+  expect_peak_at_most_10();
+  EXPECT_EQ(alloc.tag_stats(AllocTag::kViews).live_blocks, 5u);
+  for (void* p : ptrs) alloc.deallocate(p, 64, AllocTag::kViews, &c);
+  alloc.flush(c);
+  EXPECT_EQ(alloc.tag_stats(AllocTag::kViews).live_bytes, 0u);
+  EXPECT_TRUE(alloc.leak_report().clean);
+}
+
 TEST(InternalAlloc, OversizeFallThroughStaysTagCounted) {
   InternalAlloc alloc;
   void* p = alloc.allocate(8192, AllocTag::kGeneral);
@@ -173,11 +212,11 @@ TEST(InternalAlloc, RefillMovesBatchesAndFlushReturnsThem) {
   EXPECT_EQ(shard_after_flush, InternalAlloc::kChunkBytes / 64);
   EXPECT_GE(alloc.tag_stats(AllocTag::kViews).flushes, 1u);
 
-  // Magazine B refills from the now-populated shard in kBatch units.
+  // Magazine B refills from the now-populated shard in batch(kViews) units.
   InternalAlloc::Magazine b;
   void* q = alloc.allocate(64, AllocTag::kViews, &b);
   EXPECT_EQ(alloc.shard_cached(0, AllocTag::kViews, cls),
-            shard_after_flush - InternalAlloc::kBatch);
+            shard_after_flush - InternalAlloc::batch(AllocTag::kViews));
   alloc.deallocate(q, 64, AllocTag::kViews, &b);
   alloc.flush(b);
   EXPECT_TRUE(alloc.leak_report().clean);
@@ -192,7 +231,8 @@ TEST(InternalAlloc, HighWaterDrainBoundsMagazineGrowth) {
   // were allocated magazine-less (straight from the shard): the surplus
   // must drain back to the shard rather than accumulate without bound.
   std::vector<void*> ptrs;
-  for (std::size_t i = 0; i < 3 * InternalAlloc::kHighWater; ++i) {
+  const std::size_t n = 3 * InternalAlloc::high_water(AllocTag::kGeneral);
+  for (std::size_t i = 0; i < n; ++i) {
     ptrs.push_back(alloc.allocate(128, AllocTag::kGeneral, nullptr));
   }
   InternalAlloc::Magazine mag;
@@ -267,6 +307,135 @@ TEST(InternalAlloc, ConcurrentAllocFreeStress) {
         }
       }
       for (void* p : held) alloc.deallocate(p, 16, tag);
+    });
+  }
+  for (auto& th : threads) th.join();
+}
+
+// ---------------------------------------------------------------------------
+// The view pool: what reducers allocate their views from
+// ---------------------------------------------------------------------------
+
+TEST(ViewPool, SizeClassMapping) {
+  // Views occupy whole cache lines, so the smallest view class is 64 B.
+  using cilkm::mem::view_block_bytes;
+  EXPECT_EQ(InternalAlloc::size_class(view_block_bytes(1)), 2);
+  EXPECT_EQ(InternalAlloc::size_class(view_block_bytes(16)), 2);
+  EXPECT_EQ(InternalAlloc::size_class(view_block_bytes(64)), 2);
+  EXPECT_EQ(InternalAlloc::size_class(view_block_bytes(65)), 3);
+  EXPECT_EQ(InternalAlloc::size_class(view_block_bytes(129)), 4);  // 192 B
+  EXPECT_EQ(InternalAlloc::size_class(view_block_bytes(4096)), 8);
+  EXPECT_EQ(InternalAlloc::size_class(view_block_bytes(4097)), -1);
+}
+
+struct Bytes48 {
+  unsigned char b[48];
+};
+
+TEST(ViewPool, AllocationsAreUsableAndDistinct) {
+  std::set<void*> seen;
+  std::vector<Bytes48*> views;
+  for (int i = 0; i < 500; ++i) {
+    Bytes48* v = cilkm::mem::new_view<Bytes48>();
+    EXPECT_TRUE(seen.insert(v).second);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(v) % cilkm::kCacheLineSize, 0u);
+    std::memset(v, 0xab, sizeof(*v));
+    views.push_back(v);
+  }
+  for (Bytes48* v : views) cilkm::mem::delete_view(v);
+}
+
+TEST(ViewPool, FreedSlotsAreReused) {
+  // Free a batch, allocate again: the chunk count must not grow — every
+  // new allocation is served from recycled slots (local magazine or global
+  // shard after rebalancing).
+  auto& alloc = InternalAlloc::instance();
+  std::vector<std::uint64_t*> views;
+  for (int i = 0; i < 100; ++i) {
+    views.push_back(cilkm::mem::new_view<std::uint64_t>());
+  }
+  for (auto* v : views) cilkm::mem::delete_view(v);
+  const std::size_t chunks_before = alloc.chunks_allocated();
+  views.clear();
+  for (int i = 0; i < 100; ++i) {
+    views.push_back(cilkm::mem::new_view<std::uint64_t>());
+  }
+  EXPECT_EQ(alloc.chunks_allocated(), chunks_before);
+  for (auto* v : views) cilkm::mem::delete_view(v);
+}
+
+TEST(ViewPool, OversizedAllocationsFallThrough) {
+  struct Big {
+    unsigned char b[8192];
+  };
+  auto& alloc = InternalAlloc::instance();
+  alloc.stats_sync();
+  const auto before = alloc.tag_stats(AllocTag::kViews).live_bytes;
+  Big* v = cilkm::mem::new_view<Big>();
+  ASSERT_NE(v, nullptr);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(v) % cilkm::kCacheLineSize, 0u);
+  std::memset(v, 1, sizeof(*v));
+  alloc.stats_sync();
+  EXPECT_EQ(alloc.tag_stats(AllocTag::kViews).live_bytes, before + 8192);
+  cilkm::mem::delete_view(v);
+  alloc.stats_sync();
+  EXPECT_EQ(alloc.tag_stats(AllocTag::kViews).live_bytes, before);
+}
+
+TEST(ViewPool, CreateDestroyRunConstructors) {
+  struct Probe {
+    static int& live() {
+      static int count = 0;
+      return count;
+    }
+    int payload;
+    explicit Probe(int v) : payload(v) { ++live(); }
+    ~Probe() { --live(); }
+  };
+  Probe* p = cilkm::mem::new_view<Probe>(42);
+  EXPECT_EQ(p->payload, 42);
+  EXPECT_EQ(Probe::live(), 1);
+  cilkm::mem::delete_view(p);
+  EXPECT_EQ(Probe::live(), 0);
+}
+
+TEST(ViewPool, CrossThreadFreeIsSafe) {
+  // Views are routinely allocated on one worker and freed on another (the
+  // hypermerge destroys the right view wherever the join happens).
+  std::vector<std::uint64_t*> views;
+  for (int i = 0; i < 200; ++i) {
+    views.push_back(cilkm::mem::new_view<std::uint64_t>());
+  }
+  std::thread other([&] {
+    for (auto* v : views) cilkm::mem::delete_view(v);
+  });
+  other.join();
+  // Allocate again on this thread; must not crash or duplicate.
+  std::set<void*> seen;
+  views.clear();
+  for (int i = 0; i < 200; ++i) {
+    auto* v = cilkm::mem::new_view<std::uint64_t>();
+    EXPECT_TRUE(seen.insert(v).second);
+    views.push_back(v);
+  }
+  for (auto* v : views) cilkm::mem::delete_view(v);
+}
+
+TEST(ViewPool, ConcurrentAllocFreeStress) {
+  constexpr int kThreads = 4, kIters = 5000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([] {
+      std::vector<std::uint64_t*> held;
+      for (int i = 0; i < kIters; ++i) {
+        held.push_back(cilkm::mem::new_view<std::uint64_t>(0x5a5a5a5aULL));
+        if (held.size() > 32) {
+          EXPECT_EQ(*held.front(), 0x5a5a5a5aULL);
+          cilkm::mem::delete_view(held.front());
+          held.erase(held.begin());
+        }
+      }
+      for (auto* v : held) cilkm::mem::delete_view(v);
     });
   }
   for (auto& th : threads) th.join();
@@ -381,7 +550,7 @@ TEST(InternalAllocConsumers, HyperMapTablesUseTheHypermapTag) {
   {
     cilkm::hypermap::HyperMap map;
     int keys[100];
-    for (int& k : keys) map.insert(&k, &k, nullptr);  // forces expansions
+    for (int& k : keys) map.insert(&k, &k);  // forces expansions
     alloc.stats_sync();
     EXPECT_GT(alloc.tag_stats(AllocTag::kHypermapNodes).allocs,
               before.allocs);

@@ -2,6 +2,7 @@
 // every generator, under both reducer mechanisms and several worker counts.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <tuple>
 
 #include "pbfs/graph.hpp"
@@ -68,6 +69,13 @@ struct PbfsParams {
   const char* kind;
   unsigned workers;
 };
+
+// Without this, GoogleTest prints the raw bytes of the struct — including
+// the address of `kind` — so the test names CTest derives from the printed
+// value changed from run to run.
+void PrintTo(const PbfsParams& p, std::ostream* os) {
+  *os << p.kind << "_P" << p.workers;
+}
 
 class PbfsMatchesSerial : public ::testing::TestWithParam<PbfsParams> {
  protected:

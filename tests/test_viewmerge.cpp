@@ -31,24 +31,23 @@ struct StrView {
   std::string text;
 };
 
-struct FakeReducer {
+// A reducer as the view stores see it: a ReducerBase whose static table
+// reduces by concatenation and collapses into `collapsed`.
+struct FakeReducer : cilkm::ReducerBase {
   std::string collapsed;  // where collapse() folds into
-  ViewOps ops{};
 
-  FakeReducer() {
-    ops.create_identity = [](void*) -> void* { return new StrView{}; };
-    ops.reduce = [](void*, void* l, void* r) {
-      static_cast<StrView*>(l)->text += static_cast<StrView*>(r)->text;
-      delete static_cast<StrView*>(r);
-    };
-    ops.destroy = [](void*, void* v) { delete static_cast<StrView*>(v); };
-    ops.collapse = [](void* self, void* v) {
-      static_cast<FakeReducer*>(self)->collapsed +=
-          static_cast<StrView*>(v)->text;
-      delete static_cast<StrView*>(v);
-    };
-    ops.reducer = this;
-  }
+  static constexpr ViewOps kOps{
+      [](cilkm::ReducerBase*, void* l, void* r) {
+        static_cast<StrView*>(l)->text += static_cast<StrView*>(r)->text;
+        delete static_cast<StrView*>(r);
+      },
+      [](cilkm::ReducerBase* self, void* v) {
+        static_cast<FakeReducer*>(self)->collapsed +=
+            static_cast<StrView*>(v)->text;
+        delete static_cast<StrView*>(v);
+      }};
+
+  FakeReducer() : ReducerBase{&kOps} {}
 };
 
 class ViewMergeTest : public ::testing::Test {
@@ -63,7 +62,7 @@ class ViewMergeTest : public ::testing::Test {
 
   void install(Worker& worker, FakeReducer& r, std::uint64_t offset,
                const std::string& text) {
-    worker.views().spa().install(offset, new StrView{text}, &r.ops);
+    worker.views().spa().install(offset, new StrView{text}, &r);
   }
 
   std::string spa_text(Worker& worker, std::uint64_t offset) {
@@ -160,13 +159,13 @@ TEST_F(ViewMergeTest, DoubleDepositInstallThenMergeRight) {
 TEST_F(ViewMergeTest, HypermapDepositIsPointerSwitchAndOrderCorrect) {
   FakeReducer r;
   // Hypermap side of the same protocol.
-  w(0).views().hypermap().install(&r, new StrView{"L"}, &r.ops);
+  w(0).views().hypermap().install(&r, new StrView{"L"});
   ViewSetDeposit dep;
   w(0).views().deposit_ambient(&dep);
   EXPECT_TRUE(w(0).views().hypermap().empty());
   EXPECT_EQ(dep.hmap.size(), 1u);
 
-  w(1).views().hypermap().install(&r, new StrView{"R"}, &r.ops);
+  w(1).views().hypermap().install(&r, new StrView{"R"});
   w(1).views().merge_deposit_left(&dep);
   auto* entry = w(1).views().hypermap().lookup(&r);
   ASSERT_NE(entry, nullptr);
@@ -180,12 +179,12 @@ TEST_F(ViewMergeTest, HypermapMergeIteratesSmallerMapBothDirections) {
   // order must survive it.
   FakeReducer rs[8];
   for (auto& r : rs) {
-    w(0).views().hypermap().install(&r, new StrView{"l"}, &r.ops);
+    w(0).views().hypermap().install(&r, new StrView{"l"});
   }
   ViewSetDeposit dep;
   w(0).views().deposit_ambient(&dep);  // 8 entries
 
-  w(1).views().hypermap().install(&rs[2], new StrView{"r"}, &rs[2].ops);
+  w(1).views().hypermap().install(&rs[2], new StrView{"r"});
   w(1).views().merge_deposit_left(&dep);
   EXPECT_EQ(w(1).views().hypermap().map().size(), 8u);
   EXPECT_EQ(static_cast<StrView*>(
@@ -204,14 +203,14 @@ TEST_F(ViewMergeTest, HypermapMergeRightSurvivesSwapOptimisation) {
   FakeReducer rs[8];
   // Thief-side deposit: 8 entries, all "r".
   for (auto& r : rs) {
-    w(1).views().hypermap().install(&r, new StrView{"r"}, &r.ops);
+    w(1).views().hypermap().install(&r, new StrView{"r"});
   }
   ViewSetDeposit dep;
   w(1).views().deposit_ambient(&dep);
   ASSERT_EQ(dep.hmap.size(), 8u);
 
   // Victim ambient: a single serially-earlier "l" for rs[3].
-  w(0).views().hypermap().install(&rs[3], new StrView{"l"}, &rs[3].ops);
+  w(0).views().hypermap().install(&rs[3], new StrView{"l"});
   w(0).views().merge_deposit_right(&dep);
 
   EXPECT_EQ(w(0).views().hypermap().map().size(), 8u);
