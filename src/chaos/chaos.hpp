@@ -137,12 +137,13 @@ inline void maybe_delay(Site s, const rt::PedigreeState& ped) noexcept {
 }
 
 /// RAII fault suppression for protocol sections whose allocations an
-/// injected throw could NOT unwind safely — merges/deposits/installs at
-/// joins and the fiber-header allocation in Worker::launch run inside the
-/// scheduler's machinery, outside any SpawnFrame::eptr catch, so a
-/// bad_alloc there would escape into fiber_main/scheduler_loop and
-/// terminate. Fault sites check the (thread-local, nestable) counter before
-/// hashing; delay sites are unaffected.
+/// injected throw could NOT unwind safely — the join protocol's deposits,
+/// installs and merges (each one a Worker protocol_step, which opens the
+/// suppression) and the fiber-header allocation in Worker::launch run
+/// inside the scheduler's machinery, outside any SpawnFrame::eptr catch, so
+/// a bad_alloc there would escape into the fiber trampoline or the
+/// scheduler loop and terminate. Fault sites check the (thread-local,
+/// nestable) counter before hashing; delay sites are unaffected.
 class SuppressFaults {
  public:
   SuppressFaults() noexcept { ++detail::t_suppress; }

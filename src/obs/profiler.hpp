@@ -1,8 +1,10 @@
 // Cilkview-style work/span profiler (the scalability-analyzer lineage of the
-// source paper's runtime family). When enabled, fork2join and fiber_main
-// maintain a per-strand ProfileState alongside the pedigree: every strand's
-// elapsed time is charged to both `work` (T1) and `span`, and at each join
-// the two branches' subcomputation totals combine as
+// source paper's runtime family). When enabled, the runtime's strand
+// transitions (fork2join's spawn/continuation/join, Worker's branch and root
+// runners) maintain a per-strand ProfileState alongside the pedigree: every
+// strand's elapsed time is charged to both `work` (T1) and `span`, and at
+// each join the two branches' subcomputation totals combine (combine() below,
+// the only place the rule is written) as
 //
 //   work   = work(spawner-prefix) + work(a) + work(b)
 //   span   = span(spawner-prefix) + max(span(a), span(b))
@@ -27,6 +29,7 @@
 // exceptions, and the enable flag must not change while a run is in flight.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 
@@ -76,6 +79,43 @@ inline void strand_end(ProfileState& ps) noexcept {
   ps.burden += d;
 }
 
+/// Open a fresh subcomputation on the calling thread — a spawned child, a
+/// continuation, a stolen branch, or a run's root — and start timing its
+/// first strand. A stolen branch seeds `burden` with the steal latency that
+/// delivered it, charging that scheduling cost to its path.
+inline void open_subcomputation(std::uint64_t burden = 0) noexcept {
+  current_profile() = {0, 0, burden, now_ns()};
+}
+
+/// Close the calling thread's running strand and return its
+/// subcomputation's totals.
+inline ProfileState close_strand() noexcept {
+  ProfileState& ps = current_profile();
+  strand_end(ps);
+  return ps;
+}
+
+/// The join rule: combine the spawner's prefix with the spawned child `a`
+/// and the continuation `b`. `a_protocol` is the protocol cost charged to
+/// the victim's path (SpawnFrame::prof_burden_left; 0 when nothing was
+/// stolen); `b`'s burden already holds its steal latency and thief-side
+/// protocol costs.
+constexpr ProfileState combine(const ProfileState& prefix,
+                               const ProfileState& a, std::uint64_t a_protocol,
+                               const ProfileState& b) noexcept {
+  return {prefix.work + a.work + b.work,
+          prefix.span + std::max(a.span, b.span),
+          prefix.burden + std::max(a.burden + a_protocol, b.burden), 0};
+}
+
+/// Resume the strand past a join on the calling thread with the `combined`
+/// totals.
+inline void resume_joined(const ProfileState& combined) noexcept {
+  ProfileState& ps = current_profile();
+  ps = combined;
+  strand_begin(ps);
+}
+
 /// Accumulated totals over the runs recorded since the last reset(), summed
 /// so multi-rep cells report per-run means without the collector caring how
 /// many reps the driver chose.
@@ -97,7 +137,7 @@ struct RunProfile {
   }
 };
 
-/// Process-wide collector. fiber_main's root-completion path records one
+/// Process-wide collector. The root runner (Worker::run_root) records one
 /// entry per scheduler run; readers consume totals after run() returns
 /// (quiescence orders the plain fields, exactly like WorkerStats).
 class Profiler {

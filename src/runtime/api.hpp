@@ -25,167 +25,99 @@ namespace cilkm {
 /// Run a() then b(), allowing b's side (with everything after it up to the
 /// join) to be stolen. Serial semantics: exactly a(); b();.
 ///
-/// Pedigree discipline (runtime/pedigree.hpp): at spawn rank r, `a` runs as
-/// the child with pedigree prefix+[r] (its own leaf rank restarts at 0),
-/// `b` runs as the continuation at rank r+1, and the strand past the join
-/// runs at r+2 — the same transitions in the serial elision and under every
-/// steal schedule, so pedigree-hashed draws are schedule-independent.
+/// Every path — the serial elision, a degraded or refused-push spawn, the
+/// un-stolen fast path, and the stolen slow path — walks the same strand
+/// transitions, each written once below:
+///   - pedigree (runtime/pedigree.hpp): at spawn rank r, `a` runs as the
+///     child with prefix+[r] (its own leaf rank restarts at 0), `b` runs as
+///     the continuation at rank r+1, and the strand past the join at r+2,
+///     so pedigree-hashed draws are schedule-independent;
+///   - profile (obs/profiler.hpp, under --profile): each boundary closes the
+///     running strand and opens a fresh subcomputation, and the join applies
+///     obs::combine, so the reported span is the DAG's span under every
+///     schedule. Off, the cost is one relaxed load and predicted branches.
+/// Only the slow path differs: b ran on a thief (Worker::run_branch), which
+/// published its totals in the frame before arriving at the join.
 ///
 /// NOTE: the call may return on a different worker thread than it started on
 /// (the continuation migrates at a joining steal); do not cache
 /// thread-identity-dependent state across this call.
-///
-/// Work/span profiling (obs/profiler.hpp): under --profile every strand
-/// boundary here closes the running strand, opens the branch's fresh
-/// subcomputation accumulators, and combines work additively / span and
-/// burden by max at the join — the serial elision, the un-stolen fast path,
-/// and the stolen slow path all apply the identical combine rule, so the
-/// reported span is the DAG's span under every schedule. Off, the only cost
-/// is one relaxed load and predicted branches.
 template <typename A, typename B>
 void fork2join(A&& a, B&& b) {
   rt::Worker* w = rt::Worker::current();
   rt::PedigreeState& ped = rt::current_pedigree();
-  const rt::PedigreeNode* const spawn_parent = ped.parent;
-  const std::uint64_t spawn_rank = ped.rank;
-  rt::PedigreeNode child_node{spawn_rank, spawn_parent};
+  const rt::PedigreeState spawn = ped;
+  rt::PedigreeNode child_node{spawn.rank, spawn.parent};
   const bool prof = obs::profiler_enabled();
-  std::uint64_t sv_work = 0, sv_span = 0, sv_burden = 0;
-  std::uint64_t a_work = 0, a_span = 0, a_burden = 0;
-  if (prof) {
-    // Close the spawning strand and save its prefix totals; the child runs
-    // with fresh accumulators.
-    obs::ProfileState& ps = obs::current_profile();
-    obs::strand_end(ps);
-    sv_work = ps.work;
-    sv_span = ps.span;
-    sv_burden = ps.burden;
-  }
+  obs::ProfileState prefix, left, right;
+  if (prof) prefix = obs::close_strand();
+  // The child. Its exception is held until the frame is off the deque and
+  // the continuation's pedigree is seated.
+  std::exception_ptr a_eptr;
+  const auto run_child = [&] {
+    ped = {&child_node, 0};
+    if (prof) obs::open_subcomputation();
+    try {
+      a();
+    } catch (...) {
+      a_eptr = std::current_exception();
+    }
+    if (prof) left = obs::close_strand();
+  };
+  // Set when b ran on a thief: its exception, and the victim's protocol
+  // cost that burdens a's path.
+  bool stolen = false;
+  std::exception_ptr b_eptr;
+  std::uint64_t left_protocol = 0;
   if (w != nullptr && !w->serial_spawns()) {
     rt::SpawnFrameT<std::remove_reference_t<B>> frame(&b);
     // The pedigree snapshot must be complete before the push: a thief may
-    // promote the frame (and read these fields) immediately.
-    frame.ped_parent = spawn_parent;
-    frame.ped_rank = spawn_rank;
-    if (prof) {
-      // Like the pedigree: the profiler slots must be valid before the push.
-      // The thief overwrites prof_work/span/burden, but prof_burden_left only
-      // ever accumulates victim-side protocol costs.
-      frame.prof_work = 0;
-      frame.prof_span = 0;
-      frame.prof_burden = 0;
-      frame.prof_burden_left = 0;
-    }
-    // An injected push fault or a genuinely full deque both land on the
-    // serial tail below: the child runs in place, exactly as in the serial
-    // elision, and the process survives what used to be a capacity abort.
-    if (!chaos::should_fail(chaos::Site::kDequePush) &&
-        w->deque().push(&frame)) {
-      ped = {&child_node, 0};
-      if (prof) {
-        obs::ProfileState& ps = obs::current_profile();
-        ps = {};
-        obs::strand_begin(ps);
-      }
-      std::exception_ptr a_eptr;
-      try {
-        a();
-      } catch (...) {
-        a_eptr = std::current_exception();
-      }
-      // `w` (and the thread-local pedigree slot) may be stale if a() itself
-      // migrated at an inner join; re-fetch both.
-      rt::Worker* w2 = rt::Worker::current();
-      if (prof) {
-        obs::ProfileState& ps = obs::current_profile();
-        obs::strand_end(ps);
-        a_work = ps.work;
-        a_span = ps.span;
-        a_burden = ps.burden;
-      }
-      rt::SpawnFrame* popped = w2->deque().take_if(&frame);
-      if (popped == &frame) {
-        // Fast path: not stolen. Mirrors serial execution; no view
-        // operations.
-        rt::current_pedigree() = {spawn_parent, spawn_rank + 1};
-        if (a_eptr) std::rethrow_exception(a_eptr);
-        if (prof) {
-          obs::ProfileState& ps = obs::current_profile();
-          ps = {};
-          obs::strand_begin(ps);
-        }
-        b();
-        rt::current_pedigree() = {spawn_parent, spawn_rank + 2};
-        if (prof) {
-          obs::ProfileState& ps = obs::current_profile();
-          obs::strand_end(ps);
-          ps.work = sv_work + a_work + ps.work;
-          ps.span = sv_span + std::max(a_span, ps.span);
-          ps.burden = sv_burden + std::max(a_burden, ps.burden);
-          obs::strand_begin(ps);
-        }
-        return;
-      }
-      // Slow path: the continuation was (or is being) stolen. b runs (or
-      // ran) on the thief at rank r+1 (fiber_main seats it from the frame).
+    // promote the frame (and read these fields) immediately. Likewise the
+    // victim's burden slot; the thief always overwrites the other prof_*.
+    frame.ped_parent = spawn.parent;
+    frame.ped_rank = spawn.rank;
+    if (prof) frame.prof_burden_left = 0;
+    // An injected push fault or a genuinely full deque runs the child in
+    // place, exactly as in the serial elision, and the process survives
+    // what used to be a capacity abort.
+    const bool pushed = !chaos::should_fail(chaos::Site::kDequePush) &&
+                        w->deque().push(&frame);
+    if (!pushed) ++w->stats()[StatCounter::kSerialDegrades];
+    run_child();
+    // a() may have migrated this strand at an inner join: re-fetch the
+    // worker (and below, the thread-local pedigree and profile slots).
+    if (pushed && rt::Worker::current()->deque().take_if(&frame) != &frame) {
+      // Stolen: b ran (or runs) on a thief, which published its totals in
+      // the frame before arriving at the join.
       rt::Worker::join_slow(&frame);
+      stolen = true;
+      // Take-and-clear: this frame's storage is recycled through the
+      // tagged allocator, and a stale exception_ptr must never survive
+      // into the next activation that lands on the same bytes.
+      b_eptr = std::exchange(frame.eptr, nullptr);
       if (prof) {
-        // Both branches have arrived: the thief published b's totals in the
-        // frame (before its release arrival, so they are visible here), and
-        // every victim-side protocol cost landed in prof_burden_left. This
-        // thread may not be the one that ran a() — re-fetch the slot.
-        obs::ProfileState& ps = obs::current_profile();
-        ps.work = sv_work + a_work + frame.prof_work;
-        ps.span = sv_span + std::max(a_span, frame.prof_span);
-        ps.burden =
-            sv_burden + std::max(a_burden + frame.prof_burden_left,
-                                 frame.prof_burden);
-        obs::strand_begin(ps);
+        right = {frame.prof_work, frame.prof_span, frame.prof_burden};
+        left_protocol = frame.prof_burden_left;
       }
-      rt::current_pedigree() = {spawn_parent, spawn_rank + 2};
-      if (a_eptr) std::rethrow_exception(a_eptr);
-      // Rethrow-and-clear: this frame's storage is recycled through the
-      // tagged allocator, and a stale exception_ptr must never survive into
-      // the next activation that lands on the same bytes.
-      if (frame.eptr) {
-        std::rethrow_exception(std::exchange(frame.eptr, nullptr));
-      }
-      return;
     }
-    ++w->stats()[StatCounter::kSerialDegrades];
+  } else {
+    run_child();
   }
-  // Serial execution in place, advancing the pedigree through the identical
-  // spawn/sync transitions. Three callers share this tail: the serial
-  // elision (no scheduler), a degraded (fiber-less) frame whose worker
-  // forces nested spawns serial, and a spawn whose push was refused (deque
-  // full or injected chaos fault).
-  ped = {&child_node, 0};
+  if (!stolen) {
+    // The continuation, run in place at r+1.
+    rt::current_pedigree() = {spawn.parent, spawn.rank + 1};
+    if (a_eptr) std::rethrow_exception(a_eptr);
+    if (prof) obs::open_subcomputation();
+    b();
+    if (prof) right = obs::close_strand();
+  }
+  // Past the join, at r+2.
+  rt::current_pedigree() = {spawn.parent, spawn.rank + 2};
   if (prof) {
-    obs::ProfileState& ps = obs::current_profile();
-    ps = {};
-    obs::strand_begin(ps);
+    obs::resume_joined(obs::combine(prefix, left, left_protocol, right));
   }
-  a();
-  rt::current_pedigree() = {spawn_parent, spawn_rank + 1};
-  if (prof) {
-    obs::ProfileState& ps = obs::current_profile();
-    obs::strand_end(ps);
-    a_work = ps.work;
-    a_span = ps.span;
-    a_burden = ps.burden;
-    ps = {};
-    obs::strand_begin(ps);
-  }
-  b();
-  rt::current_pedigree() = {spawn_parent, spawn_rank + 2};
-  if (prof) {
-    obs::ProfileState& ps = obs::current_profile();
-    obs::strand_end(ps);
-    ps.work = sv_work + a_work + ps.work;
-    ps.span = sv_span + std::max(a_span, ps.span);
-    ps.burden = sv_burden + std::max(a_burden, ps.burden);
-    obs::strand_begin(ps);
-  }
+  if (a_eptr) std::rethrow_exception(a_eptr);
+  if (b_eptr) std::rethrow_exception(b_eptr);
 }
 
 /// Run all invocables, allowing them to execute in parallel; serial order is

@@ -62,13 +62,15 @@ struct SpawnFrame {
   std::exception_ptr eptr;
 
   /// Work/span profiler slots (obs/profiler.hpp), meaningful only when the
-  /// profiler is enabled. The thief (or self-pop fiber) publishes the stolen
-  /// branch's subcomputation totals in prof_work/prof_span/prof_burden
-  /// before announcing its join arrival; the victim accumulates its own
-  /// protocol costs (deposit, reinstall, merge) into prof_burden_left. The
-  /// resumed continuation combines both sides at the join. Deliberately
-  /// UNINITIALIZED: the profiler-off hot path must not pay the stores —
-  /// fork2join zeroes them only under profiling, before the frame is pushed.
+  /// profiler is enabled. The branch runner (Worker::run_branch, for thefts
+  /// and self-pops alike) publishes the stolen branch's subcomputation
+  /// totals in prof_work/prof_span/prof_burden before announcing its join
+  /// arrival, then adds its protocol costs to prof_burden; the victim
+  /// accumulates its own protocol costs (deposit, reinstall, merge) into
+  /// prof_burden_left. The resumed continuation combines both sides at the
+  /// join. Deliberately UNINITIALIZED: the profiler-off hot path must not pay
+  /// the stores — under profiling fork2join zeroes prof_burden_left before
+  /// the frame is pushed, and the branch runner writes the other three.
   std::uint64_t prof_work;
   std::uint64_t prof_span;
   std::uint64_t prof_burden;

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <thread>
+#include <utility>
 
 #include "chaos/chaos.hpp"
 #include "obs/profiler.hpp"
@@ -16,6 +18,15 @@
 namespace cilkm::rt {
 
 thread_local Worker* tls_worker = nullptr;
+
+void fiber_main(void* arg);
+
+// The worker whose thread runs the caller right now, for use after any
+// point where a fiber may have migrated. Out of line and noinline for the
+// reason current_pedigree() is: inlined into this file, which defines
+// tls_worker, the thread-local's address is computed once per function and
+// reused on the OS thread the fiber has since moved to.
+__attribute__((noinline)) Worker* worker_here() noexcept { return tls_worker; }
 
 Worker::Worker(Scheduler* sched, unsigned id) : id_(id), sched_(sched) {
   // 0 = "half": take ceil(avail/2) up to the deque's transaction cap.
@@ -35,22 +46,47 @@ Worker::~Worker() {
 // to views_ (the ViewStoreSet); this file only sequences the join protocol.
 // ---------------------------------------------------------------------------
 
-void Worker::merge_left(ViewSetDeposit* in) {
-  // Merges allocate (monoid combines, table growth) inside the join
-  // protocol, outside any SpawnFrame::eptr catch: injected allocator faults
-  // are suppressed here, injected protocol delays are not.
+namespace {
+
+/// One join-protocol step: a deposit, install or merge of `frame`'s view
+/// sets on worker `w` (the table of steps is in README, "Observability").
+/// Steps allocate (monoid combines, table growth) inside the scheduler's
+/// machinery, outside any SpawnFrame::eptr catch, so injected allocator
+/// faults are suppressed for them; injected protocol delays are not. Each
+/// step takes its site's chaos delay, records its trace event (an install
+/// has none), and under profiling charges its own time to `burden` — the
+/// frame's prof_burden on the thief's path, prof_burden_left on the
+/// victim's.
+template <typename Op>
+void protocol_step(Worker* w, chaos::Site site,
+                   std::optional<TraceEvent> event, SpawnFrame* frame,
+                   std::uint64_t* burden, Op&& op) {
+  // Scoped to the step, never function-wide: callers may switch stacks
+  // right after and never return, and a SuppressFaults left open across a
+  // switch would leak the thread-local count and mute injection on this
+  // worker for good.
   chaos::SuppressFaults suppress;
-  chaos::maybe_delay(chaos::Site::kMergeDelay);
-  Tracer::instance().record(id_, TraceEvent::kMerge, in);
-  views_.merge_deposit_left(in);
+  chaos::maybe_delay(site);
+  if (event) Tracer::instance().record(w->id(), *event, frame);
+  if (!obs::profiler_enabled()) {
+    op();
+    return;
+  }
+  const std::uint64_t t0 = now_ns();
+  op();
+  *burden += now_ns() - t0;
 }
 
-void Worker::merge_right(ViewSetDeposit* in) {
-  chaos::SuppressFaults suppress;
-  chaos::maybe_delay(chaos::Site::kMergeDelay);
-  Tracer::instance().record(id_, TraceEvent::kMerge, in);
-  views_.merge_deposit_right(in);
+/// The last arriver's reinstall: take the victim's (serially earlier) views
+/// back as ambient, then merge the thief's deposit on their right.
+void reinstall(Worker* w, SpawnFrame* frame, std::uint64_t* burden) {
+  protocol_step(w, chaos::Site::kInstallDelay, std::nullopt, frame, burden,
+                [&] { w->views().install_deposit(&frame->left_views); });
+  protocol_step(w, chaos::Site::kMergeDelay, TraceEvent::kMerge, frame, burden,
+                [&] { w->views().merge_deposit_right(&frame->right_views); });
 }
+
+}  // namespace
 
 void Worker::drain_pending() {
   if (pending_recycle_ != nullptr) {
@@ -59,156 +95,129 @@ void Worker::drain_pending() {
   }
 }
 
-/// Trampoline for every fiber: runs either the root task or a stolen branch,
-/// then performs the thief side of the join protocol. Never returns.
-void fiber_main(void* arg) {
-  auto* self = static_cast<Fiber*>(arg);
-  Worker* w = Worker::current();
-  w->drain_pending();
-  SpawnFrame* frame = w->launch_frame_;
-  w->launch_frame_ = nullptr;
-
-  const bool prof = obs::profiler_enabled();
-  if (frame == nullptr) {
-    // Root task: every run() starts from the root pedigree, so pedigrees
-    // (and DPRNG streams) are reproducible per run, not per pool lifetime.
-    current_pedigree() = PedigreeState{};
-    if (prof) {
-      // The root strand opens the run's outermost subcomputation; its final
-      // combined state IS the run's work/span/burden.
-      obs::ProfileState& ps = obs::current_profile();
-      ps = {};
-      obs::strand_begin(ps);
-    }
-    Scheduler* sched = w->scheduler();
-    try {
-      sched->root_fn_();
-    } catch (...) {
-      sched->root_eptr_ = std::current_exception();
-    }
-    Worker* w2 = Worker::current();  // the root may have migrated
-    if (prof) {
-      obs::ProfileState& ps = obs::current_profile();  // re-fetch: migration
-      obs::strand_end(ps);
-      obs::Profiler::instance().record_run(ps);
-    }
-    w2->views().collapse_into_leftmosts();
-    w2->pending_recycle_ = w2->current_fiber_;
-    w2->current_fiber_ = nullptr;
-    Tracer::instance().record(w2->id(), TraceEvent::kRootDone, nullptr);
-    w2->scheduler()->done_.store(true, std::memory_order_release);
-    // Idle workers may be parked on the lot; they must all observe the done
-    // flag to quiesce the run.
-    w2->stats_[StatCounter::kWakes] += w2->scheduler()->parking_.wake_all();
-    tsan::switch_to(w2->sched_tsan_);
-    cilkm_ctx_switch(&self->ctx, &w2->sched_ctx_);
-    __builtin_unreachable();
+void Worker::switch_stack(Context* from, const Context* to, Fiber* to_fiber,
+                          bool from_finished) {
+  void* fake_stack = nullptr;
+  asan::start_switch(from_finished ? nullptr : &fake_stack,
+                     to_fiber != nullptr
+                         ? asan::StackBounds{to_fiber->alloc_base,
+                                             to_fiber->alloc_size}
+                         : sched_stack_);
+  tsan::switch_to(to_fiber != nullptr ? to_fiber->tsan_fiber : sched_tsan_);
+  if (to != nullptr) {
+    cilkm_ctx_switch(from, to);
+  } else {
+    cilkm_ctx_start(from, to_fiber->stack_top, &fiber_main, to_fiber);
   }
+  // Resumed, possibly on another worker's thread: no member access below.
+  asan::finish_switch(fake_stack);
+}
 
+void Worker::resume_parked(SpawnFrame* frame, TraceEvent how,
+                           Fiber* finished) {
+  progress_.fetch_add(1, std::memory_order_relaxed);
+  if (how == TraceEvent::kResumeByThief) ++stats_[StatCounter::kJoiningSteals];
+  Tracer::instance().record(id_, how, frame);
+  current_fiber_ = frame->parked_fiber;
+  switch_stack(finished != nullptr ? &finished->ctx : &sched_ctx_,
+               &frame->parked, frame->parked_fiber, finished != nullptr);
+}
+
+void Worker::run_root() {
+  // Every run() starts from the root pedigree, so pedigrees (and DPRNG
+  // streams) are reproducible per run, not per pool lifetime. The root
+  // strand opens the run's outermost subcomputation; its final combined
+  // state IS the run's work/span/burden.
+  current_pedigree() = PedigreeState{};
+  const bool prof = obs::profiler_enabled();
+  if (prof) obs::open_subcomputation();
+  Scheduler* sched = worker_here()->sched_;
+  try {
+    sched->root_fn_();
+  } catch (...) {
+    sched->root_eptr_ = std::current_exception();
+  }
+  Worker* w = worker_here();  // the root may have migrated
+  if (prof) obs::Profiler::instance().record_run(obs::close_strand());
+  w->views_.collapse_into_leftmosts();
+  Tracer::instance().record(w->id_, TraceEvent::kRootDone, nullptr);
+  sched->done_.store(true, std::memory_order_release);
+  // Idle workers may be parked on the lot; they must all observe the done
+  // flag to quiesce the run.
+  w->stats_[StatCounter::kWakes] += sched->parking_.wake_all();
+}
+
+bool Worker::run_branch(SpawnFrame* frame) {
   // A promoted frame resumes the continuation strand: rank ped_rank + 1
   // under the spawn-time prefix, exactly where the victim's fast path would
-  // have resumed it. Seating this thread-local here covers thieves AND
-  // self-pops (both launch through fiber_main).
+  // have resumed it. The stolen branch is a fresh subcomputation whose
+  // burden starts at the steal latency that delivered it (0 for a self-pop).
   current_pedigree() = {frame->ped_parent, frame->ped_rank + 1};
-  if (prof) {
-    // The stolen branch is a fresh subcomputation; seed its burden with the
-    // steal latency that delivered this frame (0 for a self-pop), so the
-    // scheduling cost of getting here is charged to this path.
-    obs::ProfileState& ps = obs::current_profile();
-    ps = {};
-    ps.burden = w->launch_burden_ns_;
-    obs::strand_begin(ps);
-  }
+  const bool prof = obs::profiler_enabled();
+  if (prof) obs::open_subcomputation(launch_burden_ns_);
   try {
     frame->invoke_b(frame);
   } catch (...) {
     frame->eptr = std::current_exception();
   }
-  Worker* w2 = Worker::current();
   if (prof) {
-    // Publish b's totals in the frame BEFORE any arrival announcement: the
-    // release fetch_add below (or the victim's acquire load of arrivals)
-    // makes them visible to whoever resumes the continuation.
-    obs::ProfileState& ps = obs::current_profile();  // re-fetch: migration
-    obs::strand_end(ps);
-    frame->prof_work = ps.work;
-    frame->prof_span = ps.span;
-    frame->prof_burden = ps.burden;
+    // Publish b's totals BEFORE any arrival announcement: the release
+    // fetch_add below (or the victim's acquire load of arrivals) makes them
+    // visible to whoever resumes the continuation.
+    const obs::ProfileState b = obs::close_strand();
+    frame->prof_work = b.work;
+    frame->prof_span = b.span;
+    frame->prof_burden = b.burden;
   }
+  // The thief half of the join, on whichever worker holds the branch now (a
+  // fibered branch may have migrated at an inner join). Its burden lands in
+  // prof_burden before the release arrival, or after it only when this
+  // thread resumes the continuation itself, which orders the store first.
+  Worker* w = worker_here();
   if (frame->arrivals.load(std::memory_order_acquire) == 1) {
     // The victim has already parked (its arrival is announced only after
     // its deposit and context save are complete). Merge its serially
-    // earlier views on the left of ours and perform the joining steal —
-    // resume the parked continuation on this worker, no deposit needed.
-    if (prof) {
-      // Hypermerge burden on the thief path. The continuation resumes on
-      // THIS thread right below, so the post-publish store is still ordered
-      // before its read of prof_burden.
-      const std::uint64_t t0 = now_ns();
-      w2->merge_left(&frame->left_views);
-      frame->prof_burden += now_ns() - t0;
-    } else {
-      w2->merge_left(&frame->left_views);
-    }
-    ++w2->stats_[StatCounter::kJoiningSteals];
-    Tracer::instance().record(w2->id(), TraceEvent::kResumeByThief, frame);
-    w2->pending_recycle_ = w2->current_fiber_;
-    w2->current_fiber_ = frame->parked_fiber;
-    tsan::switch_to(frame->parked_fiber->tsan_fiber);
-    cilkm_ctx_switch(&self->ctx, &frame->parked);
-    __builtin_unreachable();
+    // earlier views on the left of ours: a joining steal, no deposit.
+    protocol_step(w, chaos::Site::kMergeDelay, TraceEvent::kMerge, frame,
+                  &frame->prof_burden,
+                  [&] { w->views_.merge_deposit_left(&frame->left_views); });
+    return true;
   }
   // Deposit our views on the right, THEN announce the arrival: the other
   // side must never observe a half-built deposit.
-  Tracer::instance().record(w2->id(), TraceEvent::kDepositRight, frame);
-  {
-    // Scoped (not function-wide) suppression: this fiber never returns, so
-    // an open SuppressFaults across a context switch would leak the
-    // thread-local count and mute injection on this worker forever.
-    chaos::SuppressFaults suppress;
-    chaos::maybe_delay(chaos::Site::kDepositDelay);
-    if (prof) {
-      // View-transferal burden, charged before the arrival announcement so
-      // the victim's acquire observes the final value.
-      const std::uint64_t t0 = now_ns();
-      w2->views().deposit_ambient(&frame->right_views);
-      frame->prof_burden += now_ns() - t0;
-    } else {
-      w2->views().deposit_ambient(&frame->right_views);
-    }
+  protocol_step(w, chaos::Site::kDepositDelay, TraceEvent::kDepositRight,
+                frame, &frame->prof_burden,
+                [&] { w->views_.deposit_ambient(&frame->right_views); });
+  // First arriver: the victim will resume the continuation.
+  if (frame->arrivals.fetch_add(1, std::memory_order_acq_rel) != 1) {
+    return false;
   }
-  if (frame->arrivals.fetch_add(1, std::memory_order_acq_rel) == 1) {
-    // The victim parked in the meantime and we arrived last: both deposits
-    // exist and our ambient is empty. Reinstall the victim's (left) views,
-    // merge our own deposit back on the right, and resume the continuation.
-    {
-      chaos::SuppressFaults suppress;
-      chaos::maybe_delay(chaos::Site::kInstallDelay);
-      if (prof) {
-        // Same-thread resume below, so this post-fetch_add burden store is
-        // still ordered before the continuation's read.
-        const std::uint64_t t0 = now_ns();
-        w2->views().install_deposit(&frame->left_views);
-        w2->merge_right(&frame->right_views);
-        frame->prof_burden += now_ns() - t0;
-      } else {
-        w2->views().install_deposit(&frame->left_views);
-        w2->merge_right(&frame->right_views);
-      }
-    }
-    ++w2->stats_[StatCounter::kJoiningSteals];
-    Tracer::instance().record(w2->id(), TraceEvent::kResumeByThief, frame);
-    w2->pending_recycle_ = w2->current_fiber_;
-    w2->current_fiber_ = frame->parked_fiber;
-    tsan::switch_to(frame->parked_fiber->tsan_fiber);
-    cilkm_ctx_switch(&self->ctx, &frame->parked);
+  // The victim parked in the meantime and we arrived last: both deposits
+  // exist and our ambient is empty.
+  reinstall(w, frame, &frame->prof_burden);
+  return true;
+}
+
+/// Trampoline for every fiber: runs the root task or a stolen branch, then
+/// leaves the fiber for good, into the parked continuation if the branch
+/// arrived last at its join, else back to the scheduler loop.
+void fiber_main(void* arg) {
+  auto* self = static_cast<Fiber*>(arg);
+  asan::finish_switch(nullptr);  // first landing on this stack
+  Worker* w = worker_here();
+  w->drain_pending();
+  SpawnFrame* frame = std::exchange(w->launch_frame_, nullptr);
+  bool resume = false;
+  if (frame == nullptr) {
+    Worker::run_root();
   } else {
-    // First arriver: the victim will resume the continuation.
-    w2->pending_recycle_ = w2->current_fiber_;
-    w2->current_fiber_ = nullptr;
-    tsan::switch_to(w2->sched_tsan_);
-    cilkm_ctx_switch(&self->ctx, &w2->sched_ctx_);
+    resume = w->run_branch(frame);
   }
+  w = worker_here();  // the strand may have migrated
+  w->pending_recycle_ = self;  // released by the next context to run here
+  if (resume) w->resume_parked(frame, TraceEvent::kResumeByThief, self);
+  w->current_fiber_ = nullptr;
+  w->switch_stack(&self->ctx, &w->sched_ctx_, nullptr, /*from_finished=*/true);
   __builtin_unreachable();
 }
 
@@ -243,163 +252,52 @@ void Worker::launch(SpawnFrame* frame_or_null_root) {
   ++stats_[StatCounter::kFibersAllocated];
   launch_frame_ = frame_or_null_root;
   current_fiber_ = fiber;
-  tsan::switch_to(fiber->tsan_fiber);
-  cilkm_ctx_start(&sched_ctx_, fiber->stack_top, &fiber_main, fiber);
+  switch_stack(&sched_ctx_, nullptr, fiber);
   // Control returns here when the fiber parks or finishes.
 }
 
-/// The fiber-less twin of fiber_main: same pedigree seating, same profiler
-/// publication, same join protocol — but executed as an ordinary call on
-/// the scheduler stack, with serial_mode_ forcing every nested fork2join
-/// onto its serial-inline path so nothing below can push, park, or migrate.
-/// The two resume branches context-switch into the parked continuation
-/// exactly as the scheduler loop's kResumeSelf path does; control returns
-/// here when some fiber on this thread next yields to the scheduler
-/// context, and the loop's drain_pending picks up whatever that fiber left.
 void Worker::run_degraded(SpawnFrame* frame) {
+  // serial_mode_ forces every nested fork2join onto its serial path, so
+  // nothing below can push, park, or migrate. A resume switches into the
+  // parked continuation exactly as the scheduler loop's kResumeSelf path
+  // does; control returns here when some fiber on this thread next yields
+  // to the scheduler context, and the loop's drain_pending picks up
+  // whatever that fiber left.
   serial_mode_ = true;
-  const bool prof = obs::profiler_enabled();
+  bool resume = false;
   if (frame == nullptr) {
-    // Degraded root: the entire run executes serially on this thread.
-    current_pedigree() = PedigreeState{};
-    if (prof) {
-      obs::ProfileState& ps = obs::current_profile();
-      ps = {};
-      obs::strand_begin(ps);
-    }
-    try {
-      sched_->root_fn_();
-    } catch (...) {
-      sched_->root_eptr_ = std::current_exception();
-    }
-    serial_mode_ = false;
-    if (prof) {
-      obs::ProfileState& ps = obs::current_profile();
-      obs::strand_end(ps);
-      obs::Profiler::instance().record_run(ps);
-    }
-    views_.collapse_into_leftmosts();
-    Tracer::instance().record(id_, TraceEvent::kRootDone, nullptr);
-    sched_->done_.store(true, std::memory_order_release);
-    stats_[StatCounter::kWakes] += sched_->parking_.wake_all();
-    return;
-  }
-  current_pedigree() = {frame->ped_parent, frame->ped_rank + 1};
-  if (prof) {
-    obs::ProfileState& ps = obs::current_profile();
-    ps = {};
-    ps.burden = launch_burden_ns_;
-    obs::strand_begin(ps);
-  }
-  try {
-    frame->invoke_b(frame);
-  } catch (...) {
-    frame->eptr = std::current_exception();
+    run_root();
+  } else {
+    resume = run_branch(frame);
   }
   serial_mode_ = false;
-  if (prof) {
-    obs::ProfileState& ps = obs::current_profile();
-    obs::strand_end(ps);
-    frame->prof_work = ps.work;
-    frame->prof_span = ps.span;
-    frame->prof_burden = ps.burden;
-  }
-  if (frame->arrivals.load(std::memory_order_acquire) == 1) {
-    // Victim already parked: merge its views left of ours and perform the
-    // joining steal (merge_left suppresses faults and takes the merge-delay
-    // consult internally).
-    if (prof) {
-      const std::uint64_t t0 = now_ns();
-      merge_left(&frame->left_views);
-      frame->prof_burden += now_ns() - t0;
-    } else {
-      merge_left(&frame->left_views);
-    }
-    ++stats_[StatCounter::kJoiningSteals];
-    Tracer::instance().record(id_, TraceEvent::kResumeByThief, frame);
-    current_fiber_ = frame->parked_fiber;
-    tsan::switch_to(frame->parked_fiber->tsan_fiber);
-    cilkm_ctx_switch(&sched_ctx_, &frame->parked);
-    return;
-  }
-  Tracer::instance().record(id_, TraceEvent::kDepositRight, frame);
-  {
-    chaos::SuppressFaults suppress;
-    chaos::maybe_delay(chaos::Site::kDepositDelay);
-    if (prof) {
-      const std::uint64_t t0 = now_ns();
-      views_.deposit_ambient(&frame->right_views);
-      frame->prof_burden += now_ns() - t0;
-    } else {
-      views_.deposit_ambient(&frame->right_views);
-    }
-  }
-  if (frame->arrivals.fetch_add(1, std::memory_order_acq_rel) == 1) {
-    {
-      chaos::SuppressFaults suppress;
-      chaos::maybe_delay(chaos::Site::kInstallDelay);
-      if (prof) {
-        const std::uint64_t t0 = now_ns();
-        views_.install_deposit(&frame->left_views);
-        merge_right(&frame->right_views);
-        frame->prof_burden += now_ns() - t0;
-      } else {
-        views_.install_deposit(&frame->left_views);
-        merge_right(&frame->right_views);
-      }
-    }
-    ++stats_[StatCounter::kJoiningSteals];
-    Tracer::instance().record(id_, TraceEvent::kResumeByThief, frame);
-    current_fiber_ = frame->parked_fiber;
-    tsan::switch_to(frame->parked_fiber->tsan_fiber);
-    cilkm_ctx_switch(&sched_ctx_, &frame->parked);
-    return;
-  }
-  // First arriver: the victim resumes the continuation; back to the loop.
+  if (resume) resume_parked(frame, TraceEvent::kResumeByThief, nullptr);
 }
 
 void Worker::join_slow(SpawnFrame* frame) {
-  Worker* w = Worker::current();
-  const bool prof = obs::profiler_enabled();
+  Worker* w = worker_here();
   if (frame->arrivals.load(std::memory_order_acquire) == 1) {
     // The thief has already deposited and left: merge its views on the
-    // right of ours and carry on without parking.
-    if (prof) {
-      // Hypermerge burden on the victim path; the caller (fork2join's slow
-      // path, same thread) reads prof_burden_left right after we return.
-      const std::uint64_t t0 = now_ns();
-      w->merge_right(&frame->right_views);
-      frame->prof_burden_left += now_ns() - t0;
-    } else {
-      w->merge_right(&frame->right_views);
-    }
+    // right of ours and carry on without parking. fork2join reads
+    // prof_burden_left right after we return, on this thread.
+    protocol_step(w, chaos::Site::kMergeDelay, TraceEvent::kMerge, frame,
+                  &frame->prof_burden_left,
+                  [&] { w->views_.merge_deposit_right(&frame->right_views); });
     return;
   }
   // Park: transfer our views (serially earlier than the thief's) into the
   // frame, suspend this fiber, and let the scheduler announce our arrival
-  // once the context is fully saved.
-  Tracer::instance().record(w->id(), TraceEvent::kDepositLeft, frame);
-  {
-    chaos::SuppressFaults suppress;
-    chaos::maybe_delay(chaos::Site::kDepositDelay);
-    if (prof) {
-      // View-transferal burden on the victim path, written before the park;
-      // the arrival announcement (scheduler loop, release fetch_add) orders
-      // it before a thief-side resume reads it.
-      const std::uint64_t t0 = now_ns();
-      w->views().deposit_ambient(&frame->left_views);
-      frame->prof_burden_left += now_ns() - t0;
-    } else {
-      w->views().deposit_ambient(&frame->left_views);
-    }
-  }
+  // once the context is fully saved; that release orders the burden store
+  // before a thief-side resume reads it.
+  protocol_step(w, chaos::Site::kDepositDelay, TraceEvent::kDepositLeft, frame,
+                &frame->prof_burden_left,
+                [&] { w->views_.deposit_ambient(&frame->left_views); });
   Tracer::instance().record(w->id(), TraceEvent::kPark, frame);
   frame->parked_fiber = w->current_fiber_;
   w->pending_park_ = frame;
-  tsan::switch_to(w->sched_tsan_);
-  cilkm_ctx_switch(&frame->parked, &w->sched_ctx_);
+  w->switch_stack(&frame->parked, &w->sched_ctx_, nullptr);
   // Resumed by the last arriver — possibly on a different worker.
-  Worker::current()->drain_pending();
+  worker_here()->drain_pending();
 }
 
 SpawnFrame* Worker::try_steal_round() {
@@ -487,10 +385,11 @@ void Worker::park_idle(unsigned episode_parks) {
 }
 
 void Worker::scheduler_loop() {
-  // Record this thread's own TSan identity so fibers can switch back to the
-  // scheduler stack. The pool thread persists across runs, so this is
-  // idempotent after the first run.
+  // Record this thread's own TSan identity and stack bounds so fibers can
+  // switch back to the scheduler stack. The pool thread persists across
+  // runs, so this is idempotent after the first run.
   sched_tsan_ = tsan::current_fiber();
+  sched_stack_ = asan::thread_stack();
   const bool is_bootstrap = (id_ == 0);
   if (is_bootstrap) launch(nullptr);  // run the root task
 
@@ -502,32 +401,13 @@ void Worker::scheduler_loop() {
   while (true) {
     drain_pending();
     if (pending_park_ != nullptr) {
-      SpawnFrame* frame = pending_park_;
-      pending_park_ = nullptr;
+      SpawnFrame* frame = std::exchange(pending_park_, nullptr);
       if (frame->arrivals.fetch_add(1, std::memory_order_acq_rel) == 1) {
         // The thief finished in the meantime: both deposits exist. Take our
         // own views back, merge the thief's on the right, and resume the
         // continuation ourselves.
-        {
-          chaos::SuppressFaults suppress;
-          chaos::maybe_delay(chaos::Site::kInstallDelay);
-          if (obs::profiler_enabled()) {
-            // Reinstall + hypermerge burden on the victim path; the
-            // continuation resumes on this thread right below.
-            const std::uint64_t t0 = now_ns();
-            views_.install_deposit(&frame->left_views);
-            merge_right(&frame->right_views);
-            frame->prof_burden_left += now_ns() - t0;
-          } else {
-            views_.install_deposit(&frame->left_views);
-            merge_right(&frame->right_views);
-          }
-        }
-        progress_.fetch_add(1, std::memory_order_relaxed);
-        Tracer::instance().record(id_, TraceEvent::kResumeSelf, frame);
-        current_fiber_ = frame->parked_fiber;
-        tsan::switch_to(frame->parked_fiber->tsan_fiber);
-        cilkm_ctx_switch(&sched_ctx_, &frame->parked);
+        reinstall(this, frame, &frame->prof_burden_left);
+        resume_parked(frame, TraceEvent::kResumeSelf, nullptr);
         // The resumed continuation ran (and may have spawned): restart the
         // idle backoff from the spin phase rather than parking immediately.
         idle_rounds = 0;

@@ -11,6 +11,7 @@
 
 #include "runtime/deque.hpp"
 #include "runtime/frame.hpp"
+#include "runtime/sanitizer.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "views/view_store.hpp"
@@ -18,6 +19,7 @@
 namespace cilkm::rt {
 
 class Scheduler;
+enum class TraceEvent : std::uint8_t;  // runtime/trace.hpp
 
 /// 1024-byte alignment (cf. the OpenCilk __cilkrts_worker layout): adjacent
 /// Worker objects never share a cache line OR an adjacent-line prefetch
@@ -47,10 +49,10 @@ class alignas(1024) Worker {
   /// unwinds synchronously (see run_degraded).
   bool serial_spawns() const noexcept { return serial_mode_; }
 
-  /// Monotonic scheduling-progress tick (launches, degraded runs, join
-  /// resumptions), read across threads by the run watchdog: a window in
-  /// which no worker's tick advances and the run has not quiesced is a
-  /// stalled epoch.
+  /// Monotonic scheduling-progress tick, one per launch (fibered or
+  /// degraded) and one per resumed join continuation (by either side), read
+  /// across threads by the run watchdog: a window in which no worker's tick
+  /// advances and the run has not quiesced is a stalled epoch.
   std::uint64_t progress() const noexcept {
     return progress_.load(std::memory_order_relaxed);
   }
@@ -84,9 +86,40 @@ class alignas(1024) Worker {
   /// Graceful-degradation path when no fiber stack could be acquired (real
   /// mmap exhaustion after StackPool's backoff, or an injected chaos
   /// fault): run the frame (or root) to completion on the scheduler's own
-  /// OS-thread stack with serial_spawns() forcing nested fork2joins serial,
-  /// then perform this frame's join protocol exactly as fiber_main would.
+  /// OS-thread stack through the same root and branch runners fiber_main
+  /// uses, with serial_spawns() forcing nested fork2joins serial. Differs
+  /// from fiber_main only in the stack it switches from and in having no
+  /// fiber to recycle.
   void run_degraded(SpawnFrame* frame_or_null_root);
+
+  /// The root strand of a run, on the calling worker: seat the root
+  /// pedigree, run the root task (its exception goes to the scheduler),
+  /// record the run's profile, collapse the views, then raise the done flag
+  /// and wake every parked worker. The root may finish on another worker.
+  static void run_root();
+
+  /// The thief-side runner of a promoted frame, shared by thefts and
+  /// self-pops: seat the continuation's pedigree from the frame, open its
+  /// profile with launch_burden_ns_, run b (its exception goes to the
+  /// frame), publish b's totals, then perform the thief half of the join.
+  /// Returns true iff this branch arrived last and the worker now holding it
+  /// (Worker::current(); a fibered branch may migrate) must resume the
+  /// parked continuation.
+  bool run_branch(SpawnFrame* frame);
+
+  /// Resume `frame`'s parked continuation on this worker: count the
+  /// progress (and a joining steal when `how` is kResumeByThief), trace
+  /// `how`, and switch from the scheduler stack — or from the `finished`
+  /// fiber, which never resumes.
+  void resume_parked(SpawnFrame* frame, TraceEvent how, Fiber* finished);
+
+  /// The one stack switch: save the running context in `from` and resume
+  /// `to` on `to_fiber`'s stack (nullptr: this worker's scheduler stack),
+  /// announcing the destination to TSan and ASan. `to == nullptr` starts
+  /// fiber_main fresh on `to_fiber`. `from_finished` marks a departing
+  /// fiber that never resumes.
+  void switch_stack(Context* from, const Context* to, Fiber* to_fiber,
+                    bool from_finished = false);
 
   void drain_pending();
 
@@ -103,12 +136,6 @@ class alignas(1024) Worker {
   /// is 1 on the first park of an idle episode (counted in kParks) and grows
   /// with each consecutive re-park, escalating the backstop.
   void park_idle(unsigned episode_parks);
-
-  // Trace-emitting wrappers around the views-layer merges, so every merge
-  // in the join protocol is recorded exactly once (the views layer knows
-  // nothing about workers or tracing).
-  void merge_left(ViewSetDeposit* in);
-  void merge_right(ViewSetDeposit* in);
 
   // Hot/cold member layout (see README "Steal path"). First line: identity
   // and the fiber-switch state touched on every launch/park/resume.
@@ -128,8 +155,10 @@ class alignas(1024) Worker {
 
   /// Burden seed for the next launch (profiling only): the steal latency
   /// that delivered the frame about to be launched, or 0 for a self-pop.
-  /// fiber_main charges it to the stolen branch's burdened span.
+  /// run_branch charges it to the stolen branch's burdened span.
   std::uint64_t launch_burden_ns_ = 0;
+
+  asan::StackBounds sched_stack_;  // scheduler-loop stack (ASan builds only)
 
   // Steal-side state, on its own line(s): touched only while idle-stealing,
   // so steal rounds don't bounce the fiber-switch line above.

@@ -22,6 +22,7 @@
 #include "runtime/api.hpp"
 #include "runtime/deque.hpp"
 #include "runtime/frame.hpp"
+#include "test_support.hpp"
 #include "util/dprng.hpp"
 #include "views/flat_registry.hpp"
 
@@ -29,13 +30,7 @@ namespace {
 
 namespace chaos = cilkm::chaos;
 using cilkm::StatCounter;
-
-/// Disarm on scope exit even when an assertion fails mid-test: armed chaos
-/// leaking into the next TEST would make its failures non-local.
-struct ChaosGuard {
-  explicit ChaosGuard(const chaos::Config& cfg) { chaos::arm(cfg); }
-  ~ChaosGuard() { chaos::disarm(); }
-};
+using cilkm::test::ScopedChaos;
 
 /// Binary fork tree: 2^depth leaves, each adding 1 into the reducer.
 template <typename Red>
@@ -112,7 +107,7 @@ TEST(ChaosDegradation, RefusedPushesDegradeToSerialAndRecover) {
   cfg.seed = 0x1111;
   std::uint64_t sum = 0;
   {
-    ChaosGuard guard(cfg);
+    ScopedChaos guard(cfg);
     cilkm::reducer<cilkm::op_add<std::uint64_t>, cilkm::mm_policy> red;
     sched.run([&] { count_tree(red, 10); });
     sum = red.get_value();
@@ -142,7 +137,7 @@ TEST(ChaosDegradation, FiberFaultsFallBackToTheSchedulerStack) {
     cfg.p = 1.0;
     cfg.sites = chaos::site_bit(chaos::Site::kFiberAcquire);
     cfg.seed = 0x2222;
-    ChaosGuard guard(cfg);
+    ScopedChaos guard(cfg);
     cilkm::reducer<cilkm::op_add<std::uint64_t>, cilkm::hypermap_policy> red;
     sched.run([&] { count_tree(red, 10); });
     EXPECT_EQ(red.get_value(), 1024u);
@@ -156,7 +151,7 @@ TEST(ChaosDegradation, FiberFaultsFallBackToTheSchedulerStack) {
     cfg.p = 0.5;
     cfg.sites = chaos::site_bit(chaos::Site::kFiberAcquire);
     cfg.seed = 0x2223;
-    ChaosGuard guard(cfg);
+    ScopedChaos guard(cfg);
     for (int round = 0; round < 5; ++round) {
       cilkm::reducer<cilkm::op_add<std::uint64_t>, cilkm::mm_policy> red;
       sched.run([&] { count_tree(red, 11); });
@@ -182,7 +177,7 @@ TEST(ChaosDegradation, InjectedAllocOomPropagatesAsBadAlloc) {
   std::vector<void*> blocks;
   blocks.reserve(100000);
   {
-    ChaosGuard guard(cfg);
+    ScopedChaos guard(cfg);
     // Allocation pressure inside the run forces a magazine refill on the
     // worker thread; the injected bad_alloc unwinds through the root's
     // eptr slot and rethrows here — the process does NOT abort.
@@ -246,7 +241,7 @@ chaos::SiteStats push_fault_run(unsigned workers, unsigned steal_batch) {
   cfg.p = 0.05;
   cfg.seed = 0xfeedfacef00dULL;
   cfg.sites = chaos::site_bit(chaos::Site::kDequePush);
-  ChaosGuard guard(cfg);
+  ScopedChaos guard(cfg);
   cilkm::reducer<cilkm::op_add<std::uint64_t>, cilkm::mm_policy> red;
   sched.run([&] { count_tree(red, 11); });
   EXPECT_EQ(red.get_value(), 2048u);
@@ -307,7 +302,7 @@ void exception_stress(unsigned workers, unsigned steal_batch) {
   cfg.sites = chaos::kDelaySites;
   cfg.seed = 0x7007;
   cfg.delay_ns = 500;
-  ChaosGuard guard(cfg);
+  ScopedChaos guard(cfg);
 
   constexpr unsigned kDepth = 8;
   for (int round = 0; round < 3; ++round) {

@@ -1,6 +1,7 @@
 // The observability layer: work/span profiler semantics (a fork-free root
 // has parallelism exactly 1; fib's measured parallelism grows with input;
-// span <= work and burdened span >= span always), the metrics registry's
+// span <= work and burdened span >= span always; the join's combine rule,
+// exactly, on synthetic totals), the metrics registry's
 // aggregation and flattened naming, and the Chrome-trace exporter's output
 // shape.
 #include <gtest/gtest.h>
@@ -18,10 +19,13 @@
 #include "obs/trace_export.hpp"
 #include "runtime/api.hpp"
 #include "runtime/trace.hpp"
+#include "test_support.hpp"
 
 namespace {
 
+using cilkm::obs::combine;
 using cilkm::obs::MetricsSnapshot;
+using cilkm::obs::ProfileState;
 using cilkm::obs::Profiler;
 using cilkm::obs::RunProfile;
 using cilkm::rt::Tracer;
@@ -65,37 +69,104 @@ TEST_F(ProfilerTest, ForkFreeRootHasParallelismExactlyOne) {
   EXPECT_NEAR(prof.burdened_parallelism(), 1.0, 1e-9);
 }
 
+/// fib(n)'s measured parallelism at P=1: the best of `runs` runs. A strand
+/// preempted mid-run adds the lost wall-clock time to both its work and its
+/// span, which can only pull T1/T-inf toward 1, so the maximum over a few
+/// runs is the unperturbed measurement.
+double fib_parallelism(unsigned n, int runs) {
+  double best = 0.0;
+  for (int r = 0; r < runs; ++r) {
+    Profiler::instance().reset();
+    cilkm::run(1, [n] { fib_spawn(n); });
+    const RunProfile prof = Profiler::instance().totals();
+    EXPECT_EQ(prof.runs, 1u);
+    best = std::max(best, prof.parallelism());
+  }
+  return best;
+}
+
 TEST_F(ProfilerTest, FibParallelismGrowsWithInputSize) {
   // fib's DAG parallelism is ~fib(n)/n, so the measured T1/T-inf must climb
   // steeply with n — and the measurement is schedule-independent, so P=1
-  // (every frame self-popped, none stolen) must show it too.
-  cilkm::run(1, [] { fib_spawn(10); });
-  const RunProfile small = Profiler::instance().totals();
-  Profiler::instance().reset();
-  cilkm::run(1, [] { fib_spawn(20); });
-  const RunProfile large = Profiler::instance().totals();
-
-  ASSERT_EQ(small.runs, 1u);
-  ASSERT_EQ(large.runs, 1u);
-  EXPECT_GT(large.parallelism(), 2.0);
-  EXPECT_GT(large.parallelism(), small.parallelism() * 1.5)
-      << "fib(10) parallelism " << small.parallelism() << ", fib(20) "
-      << large.parallelism();
+  // (every frame self-popped, none stolen) must show it too. The small
+  // input always takes its best of 5 runs (never easing the ratio below);
+  // the large one stops early once a run clears both bars.
+  const double small = fib_parallelism(10, 5);
+  double large = 0.0;
+  for (int run = 0; run < 5; ++run) {
+    large = std::max(large, fib_parallelism(20, 1));
+    if (large > 2.0 && large > small * 1.5) break;
+  }
+  EXPECT_GT(large, 2.0);
+  EXPECT_GT(large, small * 1.5)
+      << "fib(10) parallelism " << small << ", fib(20) " << large;
 }
 
 TEST_F(ProfilerTest, SpanBoundsHoldUnderParallelRuns) {
-  for (const unsigned p : {1u, 4u}) {
-    Profiler::instance().reset();
-    cilkm::run(p, [] {
-      cilkm::parallel_for(0, 2000, 16, [](std::int64_t) { spin_work(200); });
-    });
-    const RunProfile prof = Profiler::instance().totals();
-    ASSERT_EQ(prof.runs, 1u);
-    EXPECT_GT(prof.span_ns, 0u);
-    EXPECT_LE(prof.span_ns, prof.work_ns) << "P=" << p;
-    EXPECT_GE(prof.burdened_span_ns, prof.span_ns) << "P=" << p;
-    EXPECT_GE(prof.parallelism(), prof.burdened_parallelism()) << "P=" << p;
+  // Under both join-path inputs, so degraded (fiber-less) branches publish
+  // and combine their totals through the same rule.
+  for (const auto& cfg : cilkm::test::join_path_inputs()) {
+    cilkm::test::ScopedChaos chaos(cfg);
+    for (const unsigned p : {1u, 4u}) {
+      Profiler::instance().reset();
+      cilkm::run(p, [] {
+        cilkm::parallel_for(0, 2000, 16, [](std::int64_t) { spin_work(200); });
+      });
+      SCOPED_TRACE(testing::Message() << "P=" << p << (cfg ? " fiber faults" : ""));
+      const RunProfile prof = Profiler::instance().totals();
+      ASSERT_EQ(prof.runs, 1u);
+      EXPECT_GT(prof.span_ns, 0u);
+      EXPECT_LE(prof.span_ns, prof.work_ns);
+      EXPECT_GE(prof.burdened_span_ns, prof.span_ns);
+      EXPECT_GE(prof.parallelism(), prof.burdened_parallelism());
+    }
   }
+}
+
+TEST(ProfileCombine, AppliesTheJoinRuleExactly) {
+  // Fixed synthetic totals (ns) for the spawner's prefix, the child `a` and
+  // the continuation `b`.
+  const ProfileState prefix{100, 40, 50, 0};
+  const ProfileState a{300, 200, 210, 0};
+  const ProfileState b{500, 150, 160, 0};
+  // Not stolen: work adds up; span and burden take a's longer path.
+  const ProfileState plain = combine(prefix, a, 0, b);
+  EXPECT_EQ(plain.work, 900u);
+  EXPECT_EQ(plain.span, 240u);
+  EXPECT_EQ(plain.burden, 260u);
+  // The victim's protocol costs (prof_burden_left) burden a's path only:
+  // work and span are untouched.
+  const ProfileState victim = combine(prefix, a, 30, b);
+  EXPECT_EQ(victim.work, 900u);
+  EXPECT_EQ(victim.span, 240u);
+  EXPECT_EQ(victim.burden, 50u + 210u + 30u);
+  // When b's burden (its steal latency + thief-side costs) is the larger,
+  // b's path is the burdened critical path even though a's span is longer.
+  const ProfileState stolen_b{500, 150, 400, 0};
+  const ProfileState thief = combine(prefix, a, 30, stolen_b);
+  EXPECT_EQ(thief.span, 240u);
+  EXPECT_EQ(thief.burden, 50u + 400u);
+}
+
+TEST(ProfileCombine, StolenBranchBurdenStartsAtItsStealLatency) {
+  // A stolen branch opens with its steal latency already in its burden,
+  // and nothing in its work or span; closing it then charges the strand's
+  // elapsed time to all three alike.
+  cilkm::obs::open_subcomputation(5000);
+  const ProfileState opened = cilkm::obs::current_profile();
+  EXPECT_EQ(opened.work, 0u);
+  EXPECT_EQ(opened.span, 0u);
+  EXPECT_EQ(opened.burden, 5000u);
+  const ProfileState b = cilkm::obs::close_strand();
+  EXPECT_EQ(b.work, b.span);
+  EXPECT_EQ(b.burden, b.span + 5000u);
+  // Combined as a continuation, the seed rides b's burdened path into the
+  // join: prefix 50 + max(a 210, b's seeded burden).
+  const ProfileState prefix{100, 40, 50, 0};
+  const ProfileState a{300, 200, 210, 0};
+  const ProfileState joined = combine(prefix, a, 0, b);
+  EXPECT_EQ(joined.burden, 50u + std::max<std::uint64_t>(210u, b.burden));
+  EXPECT_EQ(joined.span, 40u + std::max<std::uint64_t>(200u, b.span));
 }
 
 TEST_F(ProfilerTest, ForcedStealChargesBurden) {

@@ -90,11 +90,14 @@ TEST(Pedigree, SerialElisionMatchesP1AndPN) {
   SCOPED_TRACE(cilkm::test::seed_trace());
   const std::uint64_t seed = cilkm::test::derived_seed(10);
   const auto expect = serial_elision([&] { return loop_draws(seed, 512, false); });
-  for (const unsigned workers : {1u, 2u, 4u, 8u}) {
-    Scheduler pool(workers);
-    std::vector<std::uint64_t> got;
-    pool.run([&] { got = loop_draws(seed, 512, false); });
-    EXPECT_EQ(got, expect) << "P=" << workers;
+  for (const auto& cfg : cilkm::test::join_path_inputs()) {
+    cilkm::test::ScopedChaos chaos(cfg);
+    for (const unsigned workers : {1u, 2u, 4u, 8u}) {
+      Scheduler pool(workers);
+      std::vector<std::uint64_t> got;
+      pool.run([&] { got = loop_draws(seed, 512, false); });
+      EXPECT_EQ(got, expect) << "P=" << workers << (cfg ? " fiber faults" : "");
+    }
   }
 }
 

@@ -3,13 +3,17 @@
 // CILKM_TEST_SEED environment variable (any strtoull-parseable value).
 // Tests derive their per-case seeds from base_seed() and wrap their bodies
 // in SCOPED_TRACE(seed_trace()), so a failing run always prints the exact
-// seed needed to replay it.
+// seed needed to replay it. Join-protocol tests also sweep the chaos inputs
+// below.
 #pragma once
 
 #include <cstdint>
 #include <cstdlib>
+#include <optional>
 #include <string>
+#include <vector>
 
+#include "chaos/chaos.hpp"
 #include "util/rng.hpp"
 
 namespace cilkm::test {
@@ -41,5 +45,37 @@ inline std::uint64_t derived_seed(std::uint64_t i) {
 inline std::string seed_trace() {
   return "replay with CILKM_TEST_SEED=" + std::to_string(base_seed());
 }
+
+/// The inputs join-protocol tests run under: chaos disarmed (nullopt), and
+/// fiber-acquire faults at p = 0.5, which mix fibered launches with degraded
+/// ones (Worker::run_degraded) running the same branch runner and join
+/// protocol on the scheduler's own stack. The seed keeps the root launch
+/// fibered, so the faults land on stolen frames mid-run.
+inline std::vector<std::optional<chaos::Config>> join_path_inputs() {
+  chaos::Config degraded;
+  degraded.p = 0.5;
+  degraded.sites = chaos::site_bit(chaos::Site::kFiberAcquire);
+  degraded.seed = 0x2223;
+  return {std::nullopt, degraded};
+}
+
+/// Arms chaos with `cfg` for the scope (nullopt leaves it disarmed) and
+/// disarms on exit, even when an assertion fails mid-test: armed chaos
+/// leaking into the next TEST would make its failures non-local.
+class ScopedChaos {
+ public:
+  explicit ScopedChaos(const std::optional<chaos::Config>& cfg)
+      : armed_(cfg.has_value()) {
+    if (armed_) chaos::arm(*cfg);
+  }
+  ~ScopedChaos() {
+    if (armed_) chaos::disarm();
+  }
+  ScopedChaos(const ScopedChaos&) = delete;
+  ScopedChaos& operator=(const ScopedChaos&) = delete;
+
+ private:
+  bool armed_;
+};
 
 }  // namespace cilkm::test

@@ -3,12 +3,15 @@
 // pair with merges; a root_done terminates every run).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <map>
 #include <sstream>
 #include <thread>
 
 #include "runtime/api.hpp"
 #include "runtime/trace.hpp"
+#include "test_support.hpp"
 
 namespace {
 
@@ -117,47 +120,91 @@ TEST(TraceEventNames, AllNamed) {
 }
 
 TEST_F(TraceTest, EventGrammarHoldsUnderLoad) {
-  cilkm::run(4, [&] {
-    cilkm::parallel_for(0, 4000, 8, [&](std::int64_t i) {
-      if (i % 32 == 0) std::this_thread::yield();
+  // Under both join-path inputs: degraded (fiber-less) frames record the
+  // same launch and join events as fibered ones.
+  for (const auto& cfg : cilkm::test::join_path_inputs()) {
+    SCOPED_TRACE(cfg ? "fiber-acquire faults p=0.5" : "chaos off");
+    Tracer::instance().reset();
+    {
+      cilkm::test::ScopedChaos chaos(cfg);
+      cilkm::run(4, [&] {
+        cilkm::parallel_for(0, 4000, 8, [&](std::int64_t i) {
+          if (i % 32 == 0) std::this_thread::yield();
+        });
+      });
+    }
+    const auto records = Tracer::instance().snapshot();
+    ASSERT_FALSE(records.empty());
+
+    // Every steal or self-pop is immediately followed, on the same worker,
+    // by the launch of the promoted frame — nothing is recorded in between.
+    std::map<unsigned, TraceEvent> last_event;
+    std::map<unsigned, std::uint64_t> last_time;
+    std::map<const void*, int> park_balance;
+    for (const auto& rec : records) {
+      const auto it = last_event.find(rec.worker);
+      if (it != last_event.end() && (it->second == TraceEvent::kSteal ||
+                                     it->second == TraceEvent::kSelfPop)) {
+        EXPECT_EQ(rec.event, TraceEvent::kLaunch)
+            << "worker " << static_cast<unsigned>(rec.worker) << ": "
+            << cilkm::rt::to_string(it->second) << " followed by "
+            << cilkm::rt::to_string(rec.event);
+      }
+      // Per-worker timestamps never go backwards (each ring is written by
+      // one thread reading a monotonic clock).
+      const auto lt = last_time.find(rec.worker);
+      if (lt != last_time.end()) EXPECT_GE(rec.time_ns, lt->second);
+      last_event[rec.worker] = rec.event;
+      last_time[rec.worker] = rec.time_ns;
+
+      if (rec.event == TraceEvent::kPark) ++park_balance[rec.frame];
+      if (rec.event == TraceEvent::kResumeByThief ||
+          rec.event == TraceEvent::kResumeSelf) {
+        --park_balance[rec.frame];
+      }
+    }
+    // kPark pairs with exactly one resume per frame (parks land on the
+    // victim's worker, resumes on whoever arrived last — balance is global
+    // per frame, not per worker).
+    for (const auto& [frame, balance] : park_balance) {
+      EXPECT_EQ(balance, 0) << "frame " << frame;
+    }
+  }
+}
+
+TEST_F(TraceTest, EveryLaunchAndResumeTicksProgress) {
+  // The watchdog's progress tick counts every launch and every resumed
+  // continuation, by either side of the join. Force joining steals: `a`
+  // waits until the thief runs `b`, and `b` outlasts the victim's park, so
+  // the thief usually arrives last and resumes the continuation itself.
+  cilkm::Scheduler sched(2);
+  std::map<TraceEvent, std::uint64_t> counts;
+  for (int round = 0; round < 50 && counts[TraceEvent::kResumeByThief] == 0;
+       ++round) {
+    std::atomic<bool> b_started{false};
+    sched.run([&] {
+      cilkm::fork2join(
+          [&] {
+            while (!b_started.load()) std::this_thread::yield();
+          },
+          [&] {
+            b_started.store(true);
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+          });
     });
-  });
-  const auto records = Tracer::instance().snapshot();
-  ASSERT_FALSE(records.empty());
-
-  // Every steal or self-pop is immediately followed, on the same worker, by
-  // the launch of the promoted frame — nothing is recorded in between.
-  std::map<unsigned, TraceEvent> last_event;
-  std::map<unsigned, std::uint64_t> last_time;
-  std::map<const void*, int> park_balance;
-  for (const auto& rec : records) {
-    const auto it = last_event.find(rec.worker);
-    if (it != last_event.end() && (it->second == TraceEvent::kSteal ||
-                                   it->second == TraceEvent::kSelfPop)) {
-      EXPECT_EQ(rec.event, TraceEvent::kLaunch)
-          << "worker " << static_cast<unsigned>(rec.worker) << ": "
-          << cilkm::rt::to_string(it->second) << " followed by "
-          << cilkm::rt::to_string(rec.event);
-    }
-    // Per-worker timestamps never go backwards (each ring is written by one
-    // thread reading a monotonic clock).
-    const auto lt = last_time.find(rec.worker);
-    if (lt != last_time.end()) EXPECT_GE(rec.time_ns, lt->second);
-    last_event[rec.worker] = rec.event;
-    last_time[rec.worker] = rec.time_ns;
-
-    if (rec.event == TraceEvent::kPark) ++park_balance[rec.frame];
-    if (rec.event == TraceEvent::kResumeByThief ||
-        rec.event == TraceEvent::kResumeSelf) {
-      --park_balance[rec.frame];
-    }
+    counts.clear();
+    for (const auto& rec : Tracer::instance().snapshot()) ++counts[rec.event];
   }
-  // kPark pairs with exactly one resume per frame (parks land on the
-  // victim's worker, resumes on whoever arrived last — balance is global
-  // per frame, not per worker).
-  for (const auto& [frame, balance] : park_balance) {
-    EXPECT_EQ(balance, 0) << "frame " << frame;
+  ASSERT_GT(counts[TraceEvent::kResumeByThief], 0u) << "no joining steal";
+  // A handful of events per round: no ring wrapped.
+  ASSERT_LT(Tracer::instance().snapshot().size(), Tracer::kRingCapacity);
+  std::uint64_t progress = 0;
+  for (unsigned i = 0; i < sched.num_workers(); ++i) {
+    progress += sched.worker(i).progress();
   }
+  EXPECT_EQ(progress, counts[TraceEvent::kLaunch] +
+                          counts[TraceEvent::kResumeSelf] +
+                          counts[TraceEvent::kResumeByThief]);
 }
 
 TEST_F(TraceTest, RingOverflowKeepsNewestInOrder) {
