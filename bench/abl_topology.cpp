@@ -1,24 +1,19 @@
-// Ablation: the topology subsystem's policy choices, measured one axis at a
-// time on a steal-heavy spawn tree. Series:
+// Ablation: worker pinning, the one deployment choice the scheduler leaves
+// open, on a steal-heavy spawn tree. Series:
 //
-//   uniform/wb1    — uniform random victims, one wake per push (the PR 3
-//                    baseline discipline)
-//   locality/wb1   — proximity-ordered victims, single wakes
-//   locality/wb4   — proximity-ordered victims + wake batches of 4
-//   locality/wb4/pin — the full default-plus-pinning configuration
+//   default — the scheduling policy as shipped, threads unpinned
+//   pin     — the same policy, each worker pinned to its assigned CPU
 //
 // Each series reports the median wall time plus the steal/wake counters
 // that make the policy visible: genuine thefts, the local fraction (same
-// core or package), and batched wake-ups. On a single-package (or
-// container-flattened) host every steal is "local" and the locality rows
-// converge to uniform — the JSON keeps the machine's describe() string so
-// a cross-host comparison knows what it is looking at.
+// core or package), and batched wake-ups. The tree is sized so one sample
+// runs for tens of milliseconds, above timer and host noise. The JSON keeps
+// the machine's describe() string so a cross-host comparison knows what it
+// is looking at (on a single-package host every steal is "local").
 //
 //   ./abl_topology [--reps R] [--workers P]
 #include <cstdio>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "harness.hpp"
 #include "topo/topology.hpp"
@@ -70,10 +65,10 @@ int main(int argc, char** argv) {
   const int reps = static_cast<int>(bench::flag_int(argc, argv, "--reps", 5));
   const auto workers = static_cast<unsigned>(
       bench::flag_int(argc, argv, "--workers", 8));
-  const std::uint64_t items = 1 << 20;
+  const std::uint64_t items = std::uint64_t{1} << 25;
 
   const cilkm::topo::Topology& topo = cilkm::topo::Topology::machine();
-  std::printf("# Ablation: steal locality and batched wake-ups\n");
+  std::printf("# Ablation: worker pinning under the scheduling policy\n");
   std::printf("# machine: %s, P=%u\n", topo.describe().c_str(), workers);
   std::printf("%-18s %12s %10s %10s %12s\n", "series", "median_s", "steals",
               "local_frac", "batch_wakes");
@@ -84,27 +79,9 @@ int main(int argc, char** argv) {
              {{"cores", static_cast<double>(topo.num_cores())},
               {"packages", static_cast<double>(topo.num_packages())}});
 
-  std::vector<Config> configs;
-  {
-    Config uniform{"uniform/wb1", {}};
-    uniform.options.locality_steal = false;
-    uniform.options.wake_batch = 1;
-    configs.push_back(uniform);
-
-    Config locality{"locality/wb1", {}};
-    locality.options.wake_batch = 1;
-    configs.push_back(locality);
-
-    Config batched{"locality/wb4", {}};
-    batched.options.wake_batch = 4;
-    configs.push_back(batched);
-
-    Config pinned{"locality/wb4/pin", {}};
-    pinned.options.wake_batch = 4;
-    pinned.options.pin = true;
-    configs.push_back(pinned);
-  }
-  for (const Config& cfg : configs) {
+  cilkm::rt::SchedulerOptions pinned;
+  pinned.pin = true;
+  for (const Config& cfg : {Config{"default", {}}, Config{"pin", pinned}}) {
     run_config(cfg, workers, reps, items, report);
   }
   return 0;

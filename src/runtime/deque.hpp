@@ -39,6 +39,7 @@
 // static_asserts so a refactor cannot silently re-merge the lines.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -61,20 +62,21 @@ class Deque {
   /// buffer and the time the thief lock is held.
   static constexpr unsigned kMaxStealBatch = 64;
 
+  /// Most sleepers one push() may wake when the deque is backing up (see
+  /// push()); an isolated push wakes one.
+  static constexpr unsigned kWakeBatch = 2;
+
   /// Wire the owning scheduler's parking lot into this deque: push() then
   /// wakes parked workers after publishing the new bottom entry. `tier_of`
   /// (indexed by worker id, owned by the scheduler) ranks sleepers by
-  /// proximity to this deque's owner; `wake_batch` caps how many sleepers
-  /// one push may wake (≥ 1; batching engages only when the deque is
-  /// backing up — see push()). `wake_counter` / `batch_counter` are the
-  /// owner's kWakes / kBatchWakes stat slots. Unattached deques (unit
+  /// proximity to this deque's owner. `wake_counter` / `batch_counter` are
+  /// the owner's kWakes / kBatchWakes stat slots. Unattached deques (unit
   /// tests, standalone use) pay nothing beyond a null check.
   void attach_wake_gate(ParkingLot* lot, const std::uint8_t* tier_of,
-                        unsigned wake_batch, std::uint64_t* wake_counter,
+                        std::uint64_t* wake_counter,
                         std::uint64_t* batch_counter) noexcept {
     lot_ = lot;
     wake_tier_of_ = tier_of;
-    wake_batch_ = wake_batch < 1 ? 1 : wake_batch;
     wake_counter_ = wake_counter;
     batch_counter_ = batch_counter;
   }
@@ -93,15 +95,12 @@ class Deque {
     if (lot_ != nullptr) {
       // Batched wake-up: one isolated push wakes at most one sleeper (the
       // 1:1 discipline), but when pushes outrun thieves — b+1-t stealable
-      // entries are outstanding, a fan-out burst — wake up to wake_batch
+      // entries are outstanding, a fan-out burst — wake up to kWakeBatch
       // nearest sleepers at once to cut the serial wake latency chain.
       // wake() internally fences so the bottom store above is ordered
       // before the sleeper check (see parking.hpp).
-      const std::int64_t outstanding = b + 1 - t;
-      unsigned want = wake_batch_;
-      if (outstanding < static_cast<std::int64_t>(want)) {
-        want = outstanding < 1 ? 1u : static_cast<unsigned>(outstanding);
-      }
+      const auto want = static_cast<unsigned>(std::clamp<std::int64_t>(
+          b + 1 - t, 1, kWakeBatch));
       const std::uint32_t woken = lot_->wake(want, wake_tier_of_);
       *wake_counter_ += woken;
       if (woken > 1) *batch_counter_ += woken - 1;
@@ -371,7 +370,6 @@ class Deque {
   alignas(kCacheLineSize) std::atomic<std::int64_t> bottom_{0};
   ParkingLot* lot_ = nullptr;           // owner-written at attach, then const
   const std::uint8_t* wake_tier_of_ = nullptr;
-  unsigned wake_batch_ = 1;
   std::uint64_t* wake_counter_ = nullptr;
   std::uint64_t* batch_counter_ = nullptr;
 

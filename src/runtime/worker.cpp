@@ -28,12 +28,7 @@ void fiber_main(void* arg);
 // reused on the OS thread the fiber has since moved to.
 __attribute__((noinline)) Worker* worker_here() noexcept { return tls_worker; }
 
-Worker::Worker(Scheduler* sched, unsigned id) : id_(id), sched_(sched) {
-  // 0 = "half": take ceil(avail/2) up to the deque's transaction cap.
-  const unsigned batch = sched->options().steal_batch;
-  steal_batch_limit_ =
-      batch == 0 ? Deque::kMaxStealBatch : std::min(batch, Deque::kMaxStealBatch);
-}
+Worker::Worker(Scheduler* sched, unsigned id) : id_(id), sched_(sched) {}
 
 Worker::~Worker() {
   // Hand cached fibers back to the node shards; the pool (and its trim
@@ -318,8 +313,10 @@ SpawnFrame* Worker::try_steal_round() {
     // (possibly nearer) victims and round construction would be charged
     // to the winning victim's tier and skew tier-vs-tier comparisons.
     const std::uint64_t attempt_start = now_ns();
+    // Steal-half: the deque caps the claim at ceil(avail/2) and
+    // kMaxStealBatch.
     const unsigned got = sched_->workers_[victim_id]->deque_.steal_batch(
-        steal_buf_, steal_batch_limit_);
+        steal_buf_, Deque::kMaxStealBatch);
     if (got > 0) {
       // Tier 0/1 (same core or package) is a cache-near theft; tier 2
       // crossed a package or NUMA boundary.

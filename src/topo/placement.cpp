@@ -10,28 +10,7 @@
 
 namespace cilkm::topo {
 
-const char* placement_name(Placement p) noexcept {
-  switch (p) {
-    case Placement::kSpread: return "spread";
-    case Placement::kCompact: return "compact";
-  }
-  return "?";
-}
-
-bool parse_placement(const std::string& text, Placement* out) {
-  if (text == "spread") {
-    *out = Placement::kSpread;
-    return true;
-  }
-  if (text == "compact") {
-    *out = Placement::kCompact;
-    return true;
-  }
-  return false;
-}
-
-std::vector<unsigned> assign_cpus(const Topology& topo, unsigned num_workers,
-                                  Placement policy) {
+std::vector<unsigned> assign_cpus(const Topology& topo, unsigned num_workers) {
   struct Ranked {
     unsigned cpu;
     unsigned core;
@@ -48,31 +27,21 @@ std::vector<unsigned> assign_cpus(const Topology& topo, unsigned num_workers,
 
   std::vector<unsigned> order;
   order.reserve(ranked.size());
-  if (policy == Placement::kCompact) {
-    // Siblings adjacent, cores adjacent, one package at a time.
-    std::stable_sort(ranked.begin(), ranked.end(),
+  // Within each package, distinct cores before SMT siblings; then
+  // interleave the packages round-robin so consecutive workers land as far
+  // apart as possible.
+  std::map<unsigned, std::vector<Ranked>> per_package;
+  for (const Ranked& r : ranked) per_package[r.package].push_back(r);
+  for (auto& [package, bucket] : per_package) {
+    std::stable_sort(bucket.begin(), bucket.end(),
                      [](const Ranked& a, const Ranked& b) {
-                       return std::tie(a.package, a.core, a.smt_rank, a.cpu) <
-                              std::tie(b.package, b.core, b.smt_rank, b.cpu);
+                       return std::tie(a.smt_rank, a.core, a.cpu) <
+                              std::tie(b.smt_rank, b.core, b.cpu);
                      });
-    for (const Ranked& r : ranked) order.push_back(r.cpu);
-  } else {
-    // Spread: within each package, distinct cores before SMT siblings; then
-    // interleave the packages round-robin so consecutive workers land as far
-    // apart as possible.
-    std::map<unsigned, std::vector<Ranked>> per_package;
-    for (const Ranked& r : ranked) per_package[r.package].push_back(r);
+  }
+  for (std::size_t i = 0; order.size() < ranked.size(); ++i) {
     for (auto& [package, bucket] : per_package) {
-      std::stable_sort(bucket.begin(), bucket.end(),
-                       [](const Ranked& a, const Ranked& b) {
-                         return std::tie(a.smt_rank, a.core, a.cpu) <
-                                std::tie(b.smt_rank, b.core, b.cpu);
-                       });
-    }
-    for (std::size_t i = 0; order.size() < ranked.size(); ++i) {
-      for (auto& [package, bucket] : per_package) {
-        if (i < bucket.size()) order.push_back(bucket[i].cpu);
-      }
+      if (i < bucket.size()) order.push_back(bucket[i].cpu);
     }
   }
 

@@ -19,7 +19,6 @@
 #include "obs/trace_export.hpp"
 #include "runtime/scheduler.hpp"
 #include "runtime/trace.hpp"
-#include "topo/placement.hpp"
 #include "topo/topology.hpp"
 #include "util/rng.hpp"
 #include "workloads/fuzzer.hpp"
@@ -31,9 +30,7 @@ namespace {
 constexpr const char* kUsage =
     "usage: cilkm_run [--list] [--workload NAME|all]... [--policy mm|hypermap|flat|all]...\n"
     "                 [--workers N[,N...]] [--scale S] [--seed X] [--reps R]\n"
-    "                 [--figure NAME|none] [--pin] [--placement spread|compact]\n"
-    "                 [--wake-batch K] [--steal locality|uniform]\n"
-    "                 [--steal-batch half|N]\n"
+    "                 [--figure NAME|none] [--pin]\n"
     "                 [--profile] [--trace-out FILE] [--trace-csv FILE]\n"
     "                 [--fuzz] [--fuzz-seed X] [--fuzz-iters N]\n"
     "                 [--chaos P] [--chaos-seed X] [--chaos-sites LIST]\n"
@@ -50,7 +47,7 @@ constexpr const char* kUsage =
     "the same rings as raw CSV.\n"
     "\n"
     "--fuzz runs the seed-replayable scenario fuzzer instead: --fuzz-iters\n"
-    "composites (random monoid x shape x policy x workers x steal-batch) are\n"
+    "composites (random monoid x shape x policy x workers) are\n"
     "drawn from base seed --fuzz-seed and checked against their serial\n"
     "elisions; a failure prints (and records in FUZZ_failing_seeds.txt) the\n"
     "exact --fuzz-seed that replays it alone. --policy/--workers/--scale\n"
@@ -66,11 +63,9 @@ constexpr const char* kUsage =
     "failed. --watchdog-ms N makes a run with no scheduling progress for N\n"
     "ms dump its metrics/trace state and abort instead of hanging.\n"
     "\n"
-    "Topology: --pin binds each worker to its assigned CPU, --placement picks\n"
-    "the worker->CPU map, --wake-batch caps sleepers woken per push (1..16),\n"
-    "--steal selects proximity-ordered or uniform victim selection, and\n"
-    "--steal-batch caps frames claimed per theft ('half' = ceil(avail/2),\n"
-    "the default; 1 = classic single-frame stealing; N in 1..64).\n";
+    "--pin binds each worker to the CPU the scheduler assigns it. The\n"
+    "scheduling policy itself is fixed (spread placement, proximity-ordered\n"
+    "steal rounds, steal-half thefts, wake batches of 2).\n";
 
 using bench::parse_long_strict;
 
@@ -178,42 +173,6 @@ bool parse_driver_options(int argc, char** argv, DriverOptions* out) {
       out->figure = name == "none" ? std::string{} : name;
     } else if (std::strcmp(arg, "--pin") == 0) {
       out->sched.pin = true;
-    } else if (std::strcmp(arg, "--placement") == 0) {
-      if (!need_value(i)) return false;
-      if (!topo::parse_placement(argv[++i], &out->sched.placement)) {
-        std::fprintf(stderr,
-                     "bad --placement '%s' (want spread or compact)\n%s",
-                     argv[i], kUsage);
-        return false;
-      }
-    } else if (std::strcmp(arg, "--wake-batch") == 0) {
-      if (!need_value(i)) return false;
-      long v = 0;
-      if (!parse_long_strict(argv[++i], &v) || v < 1 ||
-          v > static_cast<long>(rt::ParkingLot::kMaxBatch)) {
-        std::fprintf(stderr,
-                     "bad --wake-batch '%s' (want an integer in 1..%u)\n%s",
-                     argv[i], rt::ParkingLot::kMaxBatch, kUsage);
-        return false;
-      }
-      out->sched.wake_batch = static_cast<unsigned>(v);
-    } else if (std::strcmp(arg, "--steal-batch") == 0) {
-      if (!need_value(i)) return false;
-      const std::string mode = argv[++i];
-      if (mode == "half") {
-        out->sched.steal_batch = 0;
-      } else {
-        long v = 0;
-        if (!parse_long_strict(mode.c_str(), &v) || v < 1 ||
-            v > static_cast<long>(rt::Deque::kMaxStealBatch)) {
-          std::fprintf(stderr,
-                       "bad --steal-batch '%s' (want 'half' or an integer in "
-                       "1..%u)\n%s",
-                       mode.c_str(), rt::Deque::kMaxStealBatch, kUsage);
-          return false;
-        }
-        out->sched.steal_batch = static_cast<unsigned>(v);
-      }
     } else if (std::strcmp(arg, "--profile") == 0) {
       out->profile = true;
     } else if (std::strcmp(arg, "--trace-out") == 0) {
@@ -277,19 +236,6 @@ bool parse_driver_options(int argc, char** argv, DriverOptions* out) {
         return false;
       }
       out->sched.watchdog_ms = static_cast<unsigned>(v);
-    } else if (std::strcmp(arg, "--steal") == 0) {
-      if (!need_value(i)) return false;
-      const std::string mode = argv[++i];
-      if (mode == "locality") {
-        out->sched.locality_steal = true;
-      } else if (mode == "uniform") {
-        out->sched.locality_steal = false;
-      } else {
-        std::fprintf(stderr,
-                     "bad --steal '%s' (want locality or uniform)\n%s",
-                     mode.c_str(), kUsage);
-        return false;
-      }
     } else if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
       std::fputs(kUsage, stdout);
       out->help = true;

@@ -42,8 +42,8 @@ struct DriverOptions {
   double chaos_p = 0.02;
   std::uint64_t chaos_seed = 0;
   std::uint32_t chaos_sites = 0;
-  /// Topology knobs for the persistent pools run_matrix builds: --pin,
-  /// --placement, --wake-batch, --steal.
+  /// Settings of the persistent pools run_matrix builds: --pin and
+  /// --watchdog-ms.
   rt::SchedulerOptions sched;
   /// --profile: enable the work/span profiler and report one
   /// "profile:<workload>/<policy>" row per cell (work, span, parallelism,

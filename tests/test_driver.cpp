@@ -100,78 +100,37 @@ TEST(DriverCli, RejectsNegativeSeed) {
 
 TEST(DriverCli, TopologyFlagsParse) {
   DriverOptions opts;
-  ASSERT_TRUE(parse({"--pin", "--placement", "compact", "--wake-batch", "4",
-                     "--steal", "uniform"},
-                    &opts));
+  ASSERT_TRUE(parse({"--pin"}, &opts));
   EXPECT_TRUE(opts.sched.pin);
-  EXPECT_EQ(opts.sched.placement, cilkm::topo::Placement::kCompact);
-  EXPECT_EQ(opts.sched.wake_batch, 4u);
-  EXPECT_FALSE(opts.sched.locality_steal);
 
-  // Defaults: locality stealing and batched wakes on, no pinning.
   DriverOptions defaults;
   ASSERT_TRUE(parse({}, &defaults));
   EXPECT_FALSE(defaults.sched.pin);
-  EXPECT_EQ(defaults.sched.placement, cilkm::topo::Placement::kSpread);
-  EXPECT_TRUE(defaults.sched.locality_steal);
-  EXPECT_GE(defaults.sched.wake_batch, 2u);
-}
-
-TEST(DriverCli, StealBatchFlagParses) {
-  DriverOptions opts;
-  ASSERT_TRUE(parse({"--steal-batch", "1"}, &opts));
-  EXPECT_EQ(opts.sched.steal_batch, 1u);
-  DriverOptions opts2;
-  ASSERT_TRUE(parse({"--steal-batch", "half"}, &opts2));
-  EXPECT_EQ(opts2.sched.steal_batch, 0u);  // 0 encodes "half"
-  DriverOptions opts3;
-  ASSERT_TRUE(parse({"--steal-batch", "64"}, &opts3));
-  EXPECT_EQ(opts3.sched.steal_batch, 64u);
-  // Default: steal-half on.
-  DriverOptions defaults;
-  ASSERT_TRUE(parse({}, &defaults));
-  EXPECT_EQ(defaults.sched.steal_batch, 0u);
 }
 
 TEST(DriverCli, StealBatchFlagRejectsGarbage) {
+  // Every theft takes half the victim's frames; there is no flag for it.
   DriverOptions opts;
-  EXPECT_FALSE(parse({"--steal-batch", "0"}, &opts));  // spell it "half"
+  EXPECT_FALSE(parse({"--steal-batch", "half"}, &opts));
   DriverOptions opts2;
-  EXPECT_FALSE(parse({"--steal-batch", "65"}, &opts2));  // above the cap
-  DriverOptions opts3;
-  EXPECT_FALSE(parse({"--steal-batch", "-1"}, &opts3));
-  DriverOptions opts4;
-  EXPECT_FALSE(parse({"--steal-batch", "2x"}, &opts4));
-  DriverOptions opts5;
-  EXPECT_FALSE(parse({"--steal-batch", "halfish"}, &opts5));
-  DriverOptions opts6;
-  EXPECT_FALSE(parse({"--steal-batch"}, &opts6));  // trailing, no value
+  EXPECT_FALSE(parse({"--steal-batch", "1"}, &opts2));
 }
 
 TEST(DriverCli, TopologyFlagsRejectGarbage) {
+  // The scheduling policy is fixed: even its own values are unknown flags.
   DriverOptions opts;
-  EXPECT_FALSE(parse({"--placement", "scatter"}, &opts));
+  EXPECT_FALSE(parse({"--placement", "spread"}, &opts));
   DriverOptions opts2;
-  EXPECT_FALSE(parse({"--placement"}, &opts2));  // trailing, no value
+  EXPECT_FALSE(parse({"--wake-batch", "2"}, &opts2));
   DriverOptions opts3;
-  EXPECT_FALSE(parse({"--wake-batch", "0"}, &opts3));
+  EXPECT_FALSE(parse({"--steal", "uniform"}, &opts3));
   DriverOptions opts4;
-  EXPECT_FALSE(parse({"--wake-batch", "-2"}, &opts4));
-  DriverOptions opts5;
-  EXPECT_FALSE(parse({"--wake-batch", "3x"}, &opts5));
-  DriverOptions opts5b;
-  EXPECT_FALSE(parse({"--wake-batch", "17"}, &opts5b));  // above kMaxBatch
-  DriverOptions opts6;
-  EXPECT_FALSE(parse({"--steal", "sometimes"}, &opts6));
-  DriverOptions opts7;
-  EXPECT_FALSE(parse({"--wake-batch"}, &opts7));
-  DriverOptions opts8;
-  EXPECT_FALSE(parse({"--steal"}, &opts8));
+  EXPECT_FALSE(parse({"--steal", "locality"}, &opts4));
 }
 
 TEST(DriverCli, PinnedRestrictedMatrixRunsClean) {
-  // The taskset-restricted CI job's configuration in miniature: pinning plus
-  // locality stealing on whatever (possibly 1-CPU) mask this process has.
+  // The taskset-restricted CI job's configuration in miniature: pinning on
+  // whatever (possibly 1-CPU) mask this process has.
   DriverOptions opts = small_matrix();
   opts.sched.pin = true;
   opts.figure.clear();

@@ -1,7 +1,6 @@
 // Pedigree and DPRNG invariants: a strand's spawn pedigree — and therefore
 // every DotMix draw — is a pure function of its serial position, identical
-// across worker counts, steal-batch settings, forced-steal stress, and
-// repeated runs of one seed. These are the guarantees the scenario fuzzer
+// across worker counts, forced-steal stress, and repeated runs of one seed. These are the guarantees the scenario fuzzer
 // and the DPRNG-using workloads replay failures by.
 #include <gtest/gtest.h>
 
@@ -24,7 +23,6 @@ using cilkm::parallel_for;
 using cilkm::rt::current_pedigree;
 using cilkm::rt::PedigreeScope;
 using cilkm::rt::Scheduler;
-using cilkm::rt::SchedulerOptions;
 
 // ---------------------------------------------------------------------------
 // Harnesses. Every shape uses FIXED grains / fanouts so the spawn tree — and
@@ -101,20 +99,6 @@ TEST(Pedigree, SerialElisionMatchesP1AndPN) {
   }
 }
 
-TEST(Pedigree, StealBatchHalfAndOneProduceIdenticalStreams) {
-  SCOPED_TRACE(cilkm::test::seed_trace());
-  const std::uint64_t seed = cilkm::test::derived_seed(11);
-  const auto expect = serial_elision([&] { return tree_draws(seed, 9, true); });
-  for (const unsigned steal_batch : {0u, 1u, 4u}) {  // 0 = "half"
-    SchedulerOptions opts;
-    opts.steal_batch = steal_batch;
-    Scheduler pool(4, opts);
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> got;
-    pool.run([&] { got = tree_draws(seed, 9, true); });
-    EXPECT_EQ(got, expect) << "steal_batch=" << steal_batch;
-  }
-}
-
 // Forced-steal stress (the PR 5 discipline): oversubscribed pool, yield
 // jitter at every leaf so preemption scrambles the schedule each round —
 // repeated runs of one seed on one persistent pool must stay bit-identical.
@@ -127,20 +111,6 @@ TEST(PedigreeStress, RepeatedRunsUnderForcedStealsAreIdentical) {
     std::vector<std::pair<std::uint64_t, std::uint64_t>> got;
     pool.run([&] { got = tree_draws(seed, 10, true); });
     ASSERT_EQ(got, expect) << "round " << round;
-  }
-}
-
-TEST(Pedigree, UniformAndLocalityStealingAgree) {
-  SCOPED_TRACE(cilkm::test::seed_trace());
-  const std::uint64_t seed = cilkm::test::derived_seed(13);
-  const auto expect = serial_elision([&] { return loop_draws(seed, 1024, true); });
-  for (const bool locality : {true, false}) {
-    SchedulerOptions opts;
-    opts.locality_steal = locality;
-    Scheduler pool(4, opts);
-    std::vector<std::uint64_t> got;
-    pool.run([&] { got = loop_draws(seed, 1024, true); });
-    EXPECT_EQ(got, expect) << "locality=" << locality;
   }
 }
 

@@ -198,31 +198,6 @@ TEST(SchedulerPool, StealAccountingInvariantsHold) {
   EXPECT_EQ(lat_samples, stats[StatCounter::kSteals]);
 }
 
-TEST(SchedulerPool, SingleFrameStealBatchMatchesClassicAccounting) {
-  // steal_batch = 1 restores classic Chase-Lev stealing: every theft nets
-  // exactly one frame, so the two counters must agree exactly.
-  cilkm::SchedulerOptions options;
-  options.steal_batch = 1;
-  cilkm::Scheduler sched(4, options);
-  sched.reset_stats();
-  std::atomic<bool> right_ran{false};
-  sched.run([&] {
-    cilkm::fork2join(
-        [&] {
-          while (!right_ran.load(std::memory_order_acquire)) {
-            std::this_thread::yield();
-          }
-        },
-        [&] { right_ran.store(true, std::memory_order_release); });
-    parallel_for(0, 4000, 4, [](std::int64_t) {});
-  });
-  const auto stats = sched.aggregate_stats();
-  EXPECT_GE(stats[StatCounter::kSteals], 1u);
-  EXPECT_EQ(stats[StatCounter::kStolenFrames], stats[StatCounter::kSteals]);
-  EXPECT_EQ(stats[StatCounter::kLocalSteals] + stats[StatCounter::kRemoteSteals],
-            stats[StatCounter::kSteals]);
-}
-
 TEST(SchedulerPool, StealHalfForcedTheftAcquiresFrames) {
   // The forced-steal shape from GenuineTheftIsCountedWithItsAttempts, under
   // the default steal-half config: the theft happens, and stolen-frame
