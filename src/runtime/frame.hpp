@@ -62,8 +62,8 @@ struct SpawnFrame {
   std::exception_ptr eptr;
 
   /// Work/span profiler slots (obs/profiler.hpp), meaningful only when the
-  /// profiler is enabled. The branch runner (Worker::run_branch, for thefts
-  /// and self-pops alike) publishes the stolen branch's subcomputation
+  /// profiler is enabled. The thief's branch runner (Worker::run_branch)
+  /// publishes the stolen branch's subcomputation
   /// totals in prof_work/prof_span/prof_burden before announcing its join
   /// arrival, then adds its protocol costs to prof_burden; the victim
   /// accumulates its own protocol costs (deposit, reinstall, merge) into
@@ -79,7 +79,7 @@ struct SpawnFrame {
   /// Pedigree snapshot of the spawning strand, written by fork2join BEFORE
   /// the frame is pushed (a thief may promote it immediately) and immutable
   /// afterwards. Whoever runs the continuation — the spawner's own fast
-  /// path, a thief, or a self-pop — resumes it at rank ped_rank + 1 under
+  /// path or a thief — resumes it at rank ped_rank + 1 under
   /// the ped_parent prefix; the strand past the join runs at ped_rank + 2.
   /// The chain nodes live in ancestor fork2join stack frames, all of which
   /// are suspended until this frame's join completes.

@@ -12,7 +12,7 @@
 // call's stack frame, exactly as deep as the spawn tree). A chain node is
 // immutable once published; only the leaf rank — the current strand's own
 // counter — mutates, and it lives in thread-local state that every resume
-// point (steal, self-pop, joining resume) re-establishes from the frame.
+// point (steal, joining resume) re-establishes from the frame.
 //
 // Rank discipline, mirroring cilk_spawn/cilk_sync:
 //   - fork2join(a, b) at rank r runs `a` as the spawned child with pedigree

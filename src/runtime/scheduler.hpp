@@ -31,7 +31,7 @@
 namespace cilkm::rt {
 
 /// Deployment settings of a worker pool. The scheduling policy itself is
-/// fixed: spread placement, proximity-ordered victim rounds, steal-half
+/// fixed: spread placement, proximity-ordered victim rounds, one-frame
 /// thefts and wake batches of 2 (see README "Topology and steal policy").
 struct SchedulerOptions {
   /// Pin each worker thread to its assigned CPU (best-effort: a failed
@@ -112,8 +112,8 @@ class Scheduler {
   WorkerStats aggregate_stats() const;
   void reset_stats();
 
-  /// Genuine cross-worker thefts (excludes own-deque promotions, which are
-  /// counted under kSelfPops) since construction or the last reset_stats().
+  /// Cross-worker thefts (kSteals) since construction or the last
+  /// reset_stats().
   std::uint64_t total_steals() const;
 
  private:

@@ -26,14 +26,12 @@ enum class TraceEvent : std::uint8_t {
   kDepositLeft,    // victim-side view transferal into a frame
   kDepositRight,   // thief-side view transferal into a frame
   kMerge,          // hypermerge of a deposit into ambient views
-  kSelfPop,        // promoted a frame from the worker's own deque
   kRootDone,       // root task completed
 };
 
 constexpr std::string_view to_string(TraceEvent e) noexcept {
   switch (e) {
     case TraceEvent::kSteal: return "steal";
-    case TraceEvent::kSelfPop: return "self_pop";
     case TraceEvent::kLaunch: return "launch";
     case TraceEvent::kPark: return "park";
     case TraceEvent::kResumeByThief: return "resume_by_thief";

@@ -146,7 +146,7 @@ bool Worker::run_branch(SpawnFrame* frame) {
   // A promoted frame resumes the continuation strand: rank ped_rank + 1
   // under the spawn-time prefix, exactly where the victim's fast path would
   // have resumed it. The stolen branch is a fresh subcomputation whose
-  // burden starts at the steal latency that delivered it (0 for a self-pop).
+  // burden starts at the steal latency that delivered it.
   current_pedigree() = {frame->ped_parent, frame->ped_rank + 1};
   const bool prof = obs::profiler_enabled();
   if (prof) obs::open_subcomputation(launch_burden_ns_);
@@ -313,42 +313,24 @@ SpawnFrame* Worker::try_steal_round() {
     // (possibly nearer) victims and round construction would be charged
     // to the winning victim's tier and skew tier-vs-tier comparisons.
     const std::uint64_t attempt_start = now_ns();
-    // Steal-half: the deque caps the claim at ceil(avail/2) and
-    // kMaxStealBatch.
-    const unsigned got = sched_->workers_[victim_id]->deque_.steal_batch(
-        steal_buf_, Deque::kMaxStealBatch);
-    if (got > 0) {
+    SpawnFrame* frame = sched_->workers_[victim_id]->deque_.steal();
+    if (frame != nullptr) {
       // Tier 0/1 (same core or package) is a cache-near theft; tier 2
       // crossed a package or NUMA boundary.
       const std::uint8_t tier = sched_->victim_tier(id_, victim_id);
       const bool local = tier < static_cast<std::uint8_t>(
                                     topo::Topology::Proximity::kRemote);
       ++stats_[local ? StatCounter::kLocalSteals : StatCounter::kRemoteSteals];
-      stats_[StatCounter::kStolenFrames] += got;
       const std::uint64_t steal_lat = now_ns() - attempt_start;
       stats_.record_steal(tier, steal_lat);
-      launch_burden_ns_ = steal_lat;  // burden seed if this frame launches
-      // Injected delay between claiming the frames and publishing /
-      // launching them — the window a preempted thief would leave the
-      // protocol in. Keyed on the promoted frame's pedigree snapshot (this
-      // thread's pedigree slot is scheduler-context here).
+      launch_burden_ns_ = steal_lat;  // burden seed for the frame's launch
+      // Injected delay between claiming the frame and launching it — the
+      // window a preempted thief would leave the protocol in. Keyed on the
+      // frame's pedigree snapshot (this thread's pedigree slot is
+      // scheduler-context here).
       chaos::maybe_delay(chaos::Site::kStealDelay,
-                         PedigreeState{steal_buf_[0]->ped_parent,
-                                       steal_buf_[0]->ped_rank});
-      if (got > 1) {
-        // Steal-half tail: our deque is empty (we only steal when it is),
-        // so a bulk push of the younger frames oldest-first preserves the
-        // depth order thieves and our own pops rely on. The push is
-        // wake-suppressed; instead ONE ParkingLot call wakes up to got-1
-        // nearest sleepers to fan the new work out without got-1 serial
-        // wake chains.
-        deque_.push_bulk(steal_buf_ + 1, got - 1);
-        const std::uint32_t woken =
-            sched_->parking_.wake(got - 1, sched_->victim_tier_[id_].data());
-        stats_[StatCounter::kWakes] += woken;
-        if (woken > 1) stats_[StatCounter::kBatchWakes] += woken - 1;
-      }
-      return steal_buf_[0];  // promote the oldest stolen frame
+                         PedigreeState{frame->ped_parent, frame->ped_rank});
+      return frame;
     }
     cpu_relax();
   }
@@ -415,22 +397,14 @@ void Worker::scheduler_loop() {
     if (sched_->done_.load(std::memory_order_acquire)) break;
 
     CILKM_DCHECK(ambient_empty(), "stealing with non-empty ambient views");
-    SpawnFrame* frame = deque_.take_any();
-    if (frame != nullptr) {
-      // Promoting a frame from our own deque is not a theft: count and
-      // trace it separately so the steal rate reported for the paper's
-      // figures (and total_steals()) measures genuine cross-worker traffic.
-      ++stats_[StatCounter::kSelfPops];
-      launch_burden_ns_ = 0;  // no steal latency to burden a self-pop with
-      Tracer::instance().record(id_, TraceEvent::kSelfPop, frame);
-    } else {
-      frame = try_steal_round();
-      if (frame != nullptr) {
-        ++stats_[StatCounter::kSteals];
-        Tracer::instance().record(id_, TraceEvent::kSteal, frame);
-      }
-    }
-    if (frame != nullptr) {
+    // A deque holds only its owner's unstolen spawn frames, and every one
+    // of them is popped or stolen before the strand that pushed it parks
+    // or finishes — so back on the scheduler stack there is nothing of
+    // ours left to run.
+    CILKM_DCHECK(deque_.empty(), "scheduler loop found frames in own deque");
+    if (SpawnFrame* frame = try_steal_round()) {
+      ++stats_[StatCounter::kSteals];
+      Tracer::instance().record(id_, TraceEvent::kSteal, frame);
       idle_rounds = 0;
       frame->stolen.store(true, std::memory_order_relaxed);
       launch(frame);

@@ -57,10 +57,9 @@ class alignas(1024) Worker {
     return progress_.load(std::memory_order_relaxed);
   }
 
-  /// Main loop for one run: bootstraps the root (worker 0), then promotes
-  /// own-deque frames and steals until the run's done flag rises, parking on
-  /// the scheduler's idle gate (after a spin→yield backoff) while no work
-  /// exists anywhere.
+  /// Main loop for one run: bootstraps the root (worker 0), then steals
+  /// until the run's done flag rises, parking on the scheduler's idle gate
+  /// (after a spin→yield backoff) while no work exists anywhere.
   void scheduler_loop();
 
   /// Slow join path for fork2join when the deferred branch was stolen.
@@ -98,10 +97,10 @@ class alignas(1024) Worker {
   /// and wake every parked worker. The root may finish on another worker.
   static void run_root();
 
-  /// The thief-side runner of a promoted frame, shared by thefts and
-  /// self-pops: seat the continuation's pedigree from the frame, open its
-  /// profile with launch_burden_ns_, run b (its exception goes to the
-  /// frame), publish b's totals, then perform the thief half of the join.
+  /// The thief-side runner of a stolen frame: seat the continuation's
+  /// pedigree from the frame, open its profile with launch_burden_ns_, run
+  /// b (its exception goes to the frame), publish b's totals, then perform
+  /// the thief half of the join.
   /// Returns true iff this branch arrived last and the worker now holding it
   /// (Worker::current(); a fibered branch may migrate) must resume the
   /// parked continuation.
@@ -124,10 +123,11 @@ class alignas(1024) Worker {
   void drain_pending();
 
   /// One steal round: a deduplicated tour over the other workers in
-  /// proximity order (Scheduler::build_victim_round), each probe a
-  /// steal-half theft, with pause backoff between attempts. Every attempt
-  /// (hit or miss) bumps kStealAttempts; a hit is classified into
-  /// kLocalSteals or kRemoteSteals by the victim's proximity tier.
+  /// proximity order (Scheduler::build_victim_round), each probe one
+  /// Deque::steal() of the victim's oldest frame, with pause backoff
+  /// between attempts. Every attempt (hit or miss) bumps kStealAttempts; a
+  /// hit is classified into kLocalSteals or kRemoteSteals by the victim's
+  /// proximity tier.
   SpawnFrame* try_steal_round();
 
   /// Two-phase park on the scheduler's idle gate: register, re-check (done
@@ -154,7 +154,7 @@ class alignas(1024) Worker {
   std::atomic<std::uint64_t> progress_{0};
 
   /// Burden seed for the next launch (profiling only): the steal latency
-  /// that delivered the frame about to be launched, or 0 for a self-pop.
+  /// that delivered the frame about to be launched.
   /// run_branch charges it to the stolen branch's burdened span.
   std::uint64_t launch_burden_ns_ = 0;
 
@@ -164,10 +164,9 @@ class alignas(1024) Worker {
   // so steal rounds don't bounce the fiber-switch line above.
   alignas(kCacheLineSize) Xoshiro256 rng_;
   std::vector<unsigned> round_;  // scratch victim sequence, reused per round
-  SpawnFrame* steal_buf_[Deque::kMaxStealBatch];  // steal_batch scratch
 
-  // Stats on their own line: bumped from both the owner path (self-pops,
-  // view work) and the steal path, but never by other threads.
+  // Stats on their own line: bumped from both the owner path (view work)
+  // and the steal path, but never by other threads.
   alignas(kCacheLineSize) WorkerStats stats_;
 
   views::ViewStoreSet views_{&stats_};

@@ -1,5 +1,5 @@
 // Test-and-test-and-set spinlock. Used for the Figure 1 locking comparison
-// and for the deque's THE-protocol exceptional path.
+// and for the fiber-pool and allocator shard locks.
 #pragma once
 
 #include <atomic>

@@ -21,11 +21,9 @@ enum class StatCounter : unsigned {
   kViewsCreated,     ///< number of identity views created
   kViewsTransferred, ///< number of view pointers copied private -> public
   kHypermerges,      ///< number of deposit-merge operations
-  kSteals,           ///< genuine thefts from another worker's deque
-  kStolenFrames,     ///< frames acquired by thefts (≥ kSteals under steal-half)
+  kSteals,           ///< thefts: one frame from another worker's deque
   kLocalSteals,      ///< thefts from a same-core / same-package victim
   kRemoteSteals,     ///< thefts from a cross-package (or cross-node) victim
-  kSelfPops,         ///< frames promoted from the worker's own deque
   kStealAttempts,    ///< steal() attempts on victims, successful or not
   kJoiningSteals,    ///< joins resumed by the non-owning worker
   kParks,            ///< idle episodes in which the worker blocked (parked)
@@ -49,10 +47,8 @@ constexpr std::string_view to_string(StatCounter c) noexcept {
     case StatCounter::kViewsTransferred: return "views_transferred";
     case StatCounter::kHypermerges: return "hypermerges";
     case StatCounter::kSteals: return "steals";
-    case StatCounter::kStolenFrames: return "stolen_frames";
     case StatCounter::kLocalSteals: return "local_steals";
     case StatCounter::kRemoteSteals: return "remote_steals";
-    case StatCounter::kSelfPops: return "self_pops";
     case StatCounter::kStealAttempts: return "steal_attempts";
     case StatCounter::kJoiningSteals: return "joining_steals";
     case StatCounter::kParks: return "parks";

@@ -65,7 +65,7 @@ constexpr const char* kUsage =
     "\n"
     "--pin binds each worker to the CPU the scheduler assigns it. The\n"
     "scheduling policy itself is fixed (spread placement, proximity-ordered\n"
-    "steal rounds, steal-half thefts, wake batches of 2).\n";
+    "steal rounds, one-frame thefts, wake batches of 2).\n";
 
 using bench::parse_long_strict;
 
@@ -418,9 +418,6 @@ int run_matrix(const DriverOptions& opts) {
                        {"verified", verified ? 1.0 : 0.0},
                        {"steals",
                         static_cast<double>(cell_stats[StatCounter::kSteals])},
-                       {"stolen_frames",
-                        static_cast<double>(
-                            cell_stats[StatCounter::kStolenFrames])},
                        {"steal_ns_t0",
                         static_cast<double>(cell_stats.steal_lat_ns[0])},
                        {"steal_ns_t1",

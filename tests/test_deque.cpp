@@ -95,65 +95,14 @@ TEST(Deque, InterleavedPushTakeSteal) {
   EXPECT_GT(remaining, 0);
 }
 
-TEST(DequeBatch, StealsHalfOldestFirst) {
-  Deque dq;
-  std::vector<SpawnFrame> frames(8);
-  for (auto& f : frames) dq.push(&f);
-  SpawnFrame* out[Deque::kMaxStealBatch];
-  // ceil(8/2) = 4, oldest (shallowest) first.
-  ASSERT_EQ(dq.steal_batch(out, Deque::kMaxStealBatch), 4u);
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(out[i], &frames[static_cast<std::size_t>(i)]);
-  // The younger half stays with the owner, still in LIFO order.
-  EXPECT_EQ(dq.take_any(), &frames[7]);
-  EXPECT_EQ(dq.take_any(), &frames[6]);
-  EXPECT_EQ(dq.take_any(), &frames[5]);
-  EXPECT_EQ(dq.take_any(), &frames[4]);
-  EXPECT_EQ(dq.take_any(), nullptr);
-}
-
-TEST(DequeBatch, RoundsHalfUpOnOddCounts) {
-  Deque dq;
-  std::vector<SpawnFrame> frames(5);
-  for (auto& f : frames) dq.push(&f);
-  SpawnFrame* out[Deque::kMaxStealBatch];
-  EXPECT_EQ(dq.steal_batch(out, Deque::kMaxStealBatch), 3u);  // ceil(5/2)
-}
-
-TEST(DequeBatch, RespectsCallerCap) {
-  Deque dq;
-  std::vector<SpawnFrame> frames(10);
-  for (auto& f : frames) dq.push(&f);
-  SpawnFrame* out[Deque::kMaxStealBatch];
-  ASSERT_EQ(dq.steal_batch(out, 2), 2u);
-  EXPECT_EQ(out[0], &frames[0]);
-  EXPECT_EQ(out[1], &frames[1]);
-}
-
-TEST(DequeBatch, CapOneIsClassicSingleSteal) {
-  Deque dq;
-  std::vector<SpawnFrame> frames(6);
-  for (auto& f : frames) dq.push(&f);
-  SpawnFrame* out[1];
-  ASSERT_EQ(dq.steal_batch(out, 1), 1u);
-  EXPECT_EQ(out[0], &frames[0]);
-}
-
-TEST(DequeBatch, SingleEntryAndEmptyDeques) {
-  Deque dq;
-  SpawnFrame* out[Deque::kMaxStealBatch];
-  EXPECT_EQ(dq.steal_batch(out, Deque::kMaxStealBatch), 0u);  // empty
-  SpawnFrame f;
-  dq.push(&f);
-  ASSERT_EQ(dq.steal_batch(out, Deque::kMaxStealBatch), 1u);
-  EXPECT_EQ(out[0], &f);
-  EXPECT_TRUE(dq.empty());
-}
-
 TEST(DequeStress, ConcurrentStealersReceiveEachEntryExactlyOnce) {
+  // The owner pushes and pops while four thieves steal: every frame must
+  // surface exactly once across owner pops and thefts.
   Deque dq;
   constexpr int kFrames = 20000;
   constexpr int kThieves = 4;
   std::vector<SpawnFrame> frames(kFrames);
+  SpawnFrame never_pushed;
 
   std::atomic<bool> start{false};
   std::atomic<int> taken_by_owner{0};
@@ -182,83 +131,24 @@ TEST(DequeStress, ConcurrentStealersReceiveEachEntryExactlyOnce) {
   start.store(true, std::memory_order_release);
   int own = 0;
   for (int i = 0; i < kFrames; ++i) {
-    dq.push(&frames[static_cast<std::size_t>(i)]);
-    if (i % 2 == 1) {
-      if (dq.take_any() != nullptr) ++own;
-    }
-  }
-  while (dq.take_any() != nullptr) ++own;
-  taken_by_owner.store(-1, std::memory_order_release);
-  for (auto& th : thieves) th.join();
-
-  std::set<SpawnFrame*> seen;
-  int stolen_total = 0;
-  for (const auto& v : stolen) {
-    for (SpawnFrame* f : v) {
-      EXPECT_TRUE(seen.insert(f).second) << "frame stolen twice";
-      ++stolen_total;
-    }
-  }
-  EXPECT_EQ(own + stolen_total, kFrames);
-}
-
-TEST(DequeStress, ConcurrentBatchStealersLoseNoFrameAndDuplicateNone) {
-  // The steal-half torture chamber: the owner pushes and pops (both
-  // unconditional take_any and the take_if conflict machinery) while four
-  // thieves rip out batches of different sizes — single, pairs, and
-  // unbounded halves — so the exc_/thief-lock protocol, the lock-free
-  // single-steal fallback, and the owner's conflict path all interleave.
-  // Every frame must surface exactly once across owner pops and thief
-  // batches.
-  Deque dq;
-  constexpr int kFrames = 20000;
-  constexpr int kThieves = 4;
-  std::vector<SpawnFrame> frames(kFrames);
-
-  std::atomic<bool> start{false};
-  std::atomic<int> done{0};
-  std::vector<std::vector<SpawnFrame*>> stolen(kThieves);
-
-  std::vector<std::thread> thieves;
-  for (int t = 0; t < kThieves; ++t) {
-    thieves.emplace_back([&, t] {
-      // Thief 0 steals singles; the rest use growing batch caps so single
-      // CASes and locked batch transactions contend on the same victim.
-      const unsigned cap = t == 0 ? 1u
-                                  : (t == 1 ? 2u : Deque::kMaxStealBatch);
-      SpawnFrame* buf[Deque::kMaxStealBatch];
-      while (!start.load(std::memory_order_acquire)) {
-        std::this_thread::yield();
-      }
-      while (true) {
-        const unsigned got = dq.steal_batch(buf, cap);
-        if (got > 0) {
-          for (unsigned i = 0; i < got; ++i) stolen[t].push_back(buf[i]);
-          continue;
-        }
-        if (done.load(std::memory_order_acquire) != 0 && dq.empty()) break;
-        std::this_thread::yield();
-      }
-    });
-  }
-
-  start.store(true, std::memory_order_release);
-  int own = 0;
-  for (int i = 0; i < kFrames; ++i) {
     SpawnFrame* f = &frames[static_cast<std::size_t>(i)];
     dq.push(f);
     if (i % 2 == 1) {
-      // Alternate the owner's two pop flavours; take_if exercises the
-      // conditional path (mismatch re-push included) under batch fire.
+      // Alternate the owner's two pop flavours so the conditional take_if
+      // (fork-join fast path) races the thieves as well as take_any. A
+      // mismatched take_if first must leave the bottom entry in place
+      // (restoring it when it was the last one) for the thieves or the
+      // matching pop.
       if (i % 4 == 1) {
         if (dq.take_any() != nullptr) ++own;
       } else {
+        EXPECT_EQ(dq.take_if(&never_pushed), nullptr);
         if (dq.take_if(f) != nullptr) ++own;
       }
     }
   }
   while (dq.take_any() != nullptr) ++own;
-  done.store(1, std::memory_order_release);
+  taken_by_owner.store(-1, std::memory_order_release);
   for (auto& th : thieves) th.join();
 
   std::set<SpawnFrame*> seen;

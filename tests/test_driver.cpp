@@ -109,7 +109,7 @@ TEST(DriverCli, TopologyFlagsParse) {
 }
 
 TEST(DriverCli, StealBatchFlagRejectsGarbage) {
-  // Every theft takes half the victim's frames; there is no flag for it.
+  // Every theft takes one frame; there is no flag for it.
   DriverOptions opts;
   EXPECT_FALSE(parse({"--steal-batch", "half"}, &opts));
   DriverOptions opts2;

@@ -88,9 +88,9 @@ double fib_parallelism(unsigned n, int runs) {
 TEST_F(ProfilerTest, FibParallelismGrowsWithInputSize) {
   // fib's DAG parallelism is ~fib(n)/n, so the measured T1/T-inf must climb
   // steeply with n — and the measurement is schedule-independent, so P=1
-  // (every frame self-popped, none stolen) must show it too. The small
-  // input always takes its best of 5 runs (never easing the ratio below);
-  // the large one stops early once a run clears both bars.
+  // (every frame popped by its owner, none stolen) must show it too. The
+  // small input always takes its best of 5 runs (never easing the ratio
+  // below); the large one stops early once a run clears both bars.
   const double small = fib_parallelism(10, 5);
   double large = 0.0;
   for (int run = 0; run < 5; ++run) {
@@ -242,7 +242,7 @@ TEST(MetricsRegistry, FlattenUsesStableNames) {
   std::vector<std::string> names;
   for (const auto& m : snap.flatten()) names.push_back(m.name);
   for (const char* expected :
-       {"workers", "steals", "stolen_frames", "hypermerge_ns",
+       {"workers", "steals", "hypermerges", "hypermerge_ns",
         "view_transfer_ns", "steal_ns_t0", "steal_count_t2",
         "steal_hist_t0_b0", "steal_hist_t2_b7", "mem.views.live_bytes",
         "mem.frames.peak_blocks", "mem.general.refills",

@@ -1,7 +1,8 @@
 // The persistent worker pool: threads are created once and survive across
 // run() calls, idle workers park on the scheduler's idle gate instead of
-// spinning, stats separate genuine thefts from own-deque promotions, and a
-// run that throws leaves the pool quiesced and reusable.
+// spinning, stats count each theft once and each stolen continuation joins
+// with one hypermerge, and a run that throws leaves the pool quiesced and
+// reusable.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,6 +11,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "reducers/reducers.hpp"
 #include "runtime/api.hpp"
@@ -142,7 +144,6 @@ TEST(SchedulerPool, SingleWorkerRunHasNoStealsOrAttempts) {
   const auto stats = sched.aggregate_stats();
   EXPECT_EQ(stats[StatCounter::kSteals], 0u);
   EXPECT_EQ(stats[StatCounter::kStealAttempts], 0u);
-  EXPECT_EQ(stats[StatCounter::kSelfPops], 0u);
 }
 
 TEST(SchedulerPool, GenuineTheftIsCountedWithItsAttempts) {
@@ -168,9 +169,8 @@ TEST(SchedulerPool, GenuineTheftIsCountedWithItsAttempts) {
 }
 
 TEST(SchedulerPool, StealAccountingInvariantsHold) {
-  // Under steal-half (the default), every theft transaction acquires >= 1
-  // frame, every theft is classified into exactly one proximity bucket, and
-  // every theft contributes exactly one latency sample to its tier.
+  // Every theft is classified into exactly one proximity bucket and
+  // contributes exactly one latency sample to its tier.
   cilkm::Scheduler sched(4);
   sched.reset_stats();
   for (int round = 0; round < 10; ++round) {
@@ -185,7 +185,6 @@ TEST(SchedulerPool, StealAccountingInvariantsHold) {
   const auto stats = sched.aggregate_stats();
   EXPECT_EQ(stats[StatCounter::kLocalSteals] + stats[StatCounter::kRemoteSteals],
             stats[StatCounter::kSteals]);
-  EXPECT_GE(stats[StatCounter::kStolenFrames], stats[StatCounter::kSteals]);
   std::uint64_t lat_samples = 0;
   for (std::size_t t = 0; t < cilkm::WorkerStats::kStealTiers; ++t) {
     std::uint64_t in_buckets = 0;
@@ -199,9 +198,8 @@ TEST(SchedulerPool, StealAccountingInvariantsHold) {
 }
 
 TEST(SchedulerPool, StealHalfForcedTheftAcquiresFrames) {
-  // The forced-steal shape from GenuineTheftIsCountedWithItsAttempts, under
-  // the default steal-half config: the theft happens, and stolen-frame
-  // accounting covers it.
+  // The forced-steal shape from GenuineTheftIsCountedWithItsAttempts: the
+  // theft happens, and its frame joins through one hypermerge.
   std::atomic<bool> right_ran{false};
   cilkm::Scheduler sched(2);
   sched.reset_stats();
@@ -216,7 +214,35 @@ TEST(SchedulerPool, StealHalfForcedTheftAcquiresFrames) {
   });
   const auto stats = sched.aggregate_stats();
   EXPECT_GE(stats[StatCounter::kSteals], 1u);
-  EXPECT_GE(stats[StatCounter::kStolenFrames], stats[StatCounter::kSteals]);
+  EXPECT_EQ(stats[StatCounter::kHypermerges], stats[StatCounter::kSteals]);
+}
+
+TEST(SchedulerPool, EachTheftJoinsWithExactlyOneHypermerge) {
+  // A theft takes exactly one frame, and every stolen continuation joins
+  // through exactly one merge_deposit (by whichever side arrives last), so
+  // across a reducer-heavy run the two counters agree. A steal that also
+  // hands the thief further frames to promote breaks the equality. The
+  // loops stay inside one run so the other workers are awake and stealing
+  // rather than still waking for each short run.
+  constexpr int kReducers = 256;
+  constexpr int kLoops = 64;
+  constexpr std::int64_t kIters = 1 << 14;
+  std::vector<cilkm::reducer_opadd<long>> sums(kReducers);
+  cilkm::Scheduler sched(4);
+  sched.reset_stats();
+  sched.run([&] {
+    for (int loop = 0; loop < kLoops; ++loop) {
+      parallel_for(0, kIters, 4, [&](std::int64_t i) {
+        *sums[static_cast<std::size_t>(i % kReducers)] += 1;
+      });
+    }
+  });
+  for (auto& sum : sums) {
+    EXPECT_EQ(sum.get_value(), kLoops * kIters / kReducers);
+  }
+  const auto stats = sched.aggregate_stats();
+  EXPECT_GT(stats[StatCounter::kSteals], 0u);
+  EXPECT_EQ(stats[StatCounter::kHypermerges], stats[StatCounter::kSteals]);
 }
 
 TEST(SchedulerPool, ParkedWorkersWakeForNewWork) {

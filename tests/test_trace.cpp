@@ -136,15 +136,14 @@ TEST_F(TraceTest, EventGrammarHoldsUnderLoad) {
     const auto records = Tracer::instance().snapshot();
     ASSERT_FALSE(records.empty());
 
-    // Every steal or self-pop is immediately followed, on the same worker,
-    // by the launch of the promoted frame — nothing is recorded in between.
+    // Every steal is immediately followed, on the same worker, by the
+    // launch of the stolen frame — nothing is recorded in between.
     std::map<unsigned, TraceEvent> last_event;
     std::map<unsigned, std::uint64_t> last_time;
     std::map<const void*, int> park_balance;
     for (const auto& rec : records) {
       const auto it = last_event.find(rec.worker);
-      if (it != last_event.end() && (it->second == TraceEvent::kSteal ||
-                                     it->second == TraceEvent::kSelfPop)) {
+      if (it != last_event.end() && it->second == TraceEvent::kSteal) {
         EXPECT_EQ(rec.event, TraceEvent::kLaunch)
             << "worker " << static_cast<unsigned>(rec.worker) << ": "
             << cilkm::rt::to_string(it->second) << " followed by "

@@ -119,14 +119,6 @@ class TraceCheckTest(unittest.TestCase):
         doc["traceEvents"].append(instant(1, 60.0, "steal", "0xbad"))
         self.assertEqual(self.check(doc), 1)
 
-    def test_self_pop_must_be_followed_by_launch(self):
-        doc = valid_doc()
-        doc["traceEvents"].extend([
-            instant(0, 60.0, "self_pop", "0xabc"),
-            instant(0, 61.0, "merge", "0xabc"),
-        ])
-        self.assertEqual(self.check(doc), 1)
-
     def test_unbalanced_park_fails(self):
         doc = valid_doc()
         doc["traceEvents"].append(instant(0, 60.0, "park", "0xbad"))

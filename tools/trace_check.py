@@ -10,8 +10,8 @@ instants have monotonically non-decreasing timestamps, and counter samples
 never decrease (they are cumulative).
 
 Grammar — the scheduler-event protocol the runtime guarantees: every steal
-or self_pop instant is immediately followed (same tid, next instant) by a
-launch, every park on a frame eventually pairs with exactly one resume
+instant is immediately followed (same tid, next instant) by a launch,
+every park on a frame eventually pairs with exactly one resume
 (resume_by_thief or resume_self), and at least one root_done exists.
 Grammar checks are skipped when otherData.ring_wrapped is set: a full ring
 overwrote its oldest events, so the retained stream may start mid-pair.
@@ -112,7 +112,7 @@ def check_grammar(per_tid_instants, errors):
             frame = (ev.get("args") or {}).get("frame")
             if name == "root_done":
                 saw_root_done = True
-            elif name in ("steal", "self_pop"):
+            elif name == "steal":
                 nxt_name = nxt[1].get("name") if nxt else None
                 if nxt_name != "launch":
                     _fail(errors,
