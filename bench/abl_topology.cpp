@@ -5,11 +5,10 @@
 //   pin     — the same policy, each worker pinned to its assigned CPU
 //
 // Each series reports the median wall time plus the steal/wake counters
-// that make the policy visible: genuine thefts, the local fraction (same
-// core or package), and batched wake-ups. The tree is sized so one sample
-// runs for tens of milliseconds, above timer and host noise. The JSON keeps
-// the machine's describe() string so a cross-host comparison knows what it
-// is looking at (on a single-package host every steal is "local").
+// that make the policy visible: genuine thefts and batched wake-ups. The
+// tree is sized so one sample runs for tens of milliseconds, above timer
+// and host noise. The JSON keeps the machine's describe() string so a
+// cross-host comparison knows what it is looking at.
 //
 //   ./abl_topology [--reps R] [--workers P]
 #include <cstdio>
@@ -43,19 +42,15 @@ void run_config(const Config& cfg, unsigned workers, int reps,
       bench::repeat(sched, reps, [&] { spawn_tree(items); });
   const auto stats = sched.aggregate_stats();
   const auto steals = stats[cilkm::StatCounter::kSteals];
-  const auto local = stats[cilkm::StatCounter::kLocalSteals];
-  const double local_frac =
-      steals == 0 ? 1.0 : static_cast<double>(local) / static_cast<double>(steals);
   const auto batch_wakes = stats[cilkm::StatCounter::kBatchWakes];
 
-  std::printf("%-18s %12.6f %10llu %10.3f %12llu\n", cfg.series, stat.median_s,
-              static_cast<unsigned long long>(steals), local_frac,
+  std::printf("%-18s %12.6f %10llu %12llu\n", cfg.series, stat.median_s,
+              static_cast<unsigned long long>(steals),
               static_cast<unsigned long long>(batch_wakes));
   report.add(cfg.series, static_cast<double>(workers),
              {{"median_s", stat.median_s},
               {"stddev_s", stat.stddev_s},
               {"steals", static_cast<double>(steals)},
-              {"local_frac", local_frac},
               {"batch_wakes", static_cast<double>(batch_wakes)}});
 }
 
@@ -70,8 +65,8 @@ int main(int argc, char** argv) {
   const cilkm::topo::Topology& topo = cilkm::topo::Topology::machine();
   std::printf("# Ablation: worker pinning under the scheduling policy\n");
   std::printf("# machine: %s, P=%u\n", topo.describe().c_str(), workers);
-  std::printf("%-18s %12s %10s %10s %12s\n", "series", "median_s", "steals",
-              "local_frac", "batch_wakes");
+  std::printf("%-18s %12s %10s %12s\n", "series", "median_s", "steals",
+              "batch_wakes");
 
   bench::JsonReport report("abl_topology");
   // machine row: num_cpus as x so the trajectory diff can spot host changes.

@@ -35,16 +35,12 @@ std::vector<Metric> MetricsSnapshot::flatten() const {
     out.push_back({std::string(to_string(counter)),
                    static_cast<double>(aggregate[counter])});
   }
-  for (std::size_t t = 0; t < WorkerStats::kStealTiers; ++t) {
-    const std::string tier = std::to_string(t);
-    out.push_back({"steal_ns_t" + tier,
-                   static_cast<double>(aggregate.steal_lat_ns[t])});
-    out.push_back({"steal_count_t" + tier,
-                   static_cast<double>(aggregate.steal_lat_count[t])});
-    for (std::size_t b = 0; b < WorkerStats::kStealLatBuckets; ++b) {
-      out.push_back({"steal_hist_t" + tier + "_b" + std::to_string(b),
-                     static_cast<double>(aggregate.steal_lat_hist[t][b])});
-    }
+  out.push_back({"steal_ns", static_cast<double>(aggregate.steal_lat_ns[0])});
+  out.push_back(
+      {"steal_count", static_cast<double>(aggregate.steal_lat_count[0])});
+  for (std::size_t b = 0; b < WorkerStats::kStealLatBuckets; ++b) {
+    out.push_back({"steal_hist_b" + std::to_string(b),
+                   static_cast<double>(aggregate.steal_lat_hist[b])});
   }
   for (std::size_t t = 0; t < mem::kNumTags; ++t) {
     const mem::TagStats& ts = mem_tags[t];

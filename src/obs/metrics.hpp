@@ -51,7 +51,7 @@ struct MetricsSnapshot {
   std::array<chaos::SiteStats, chaos::kNumSites> chaos_sites{};
 
   /// Flatten to stable names: every StatCounter under its to_string() name,
-  /// steal tiers as steal_ns_t<t> / steal_count_t<t> / steal_hist_t<t>_b<b>,
+  /// steal latency as steal_ns / steal_count / steal_hist_b<b>,
   /// allocator tags as mem.<tag>.<field>, chaos sites as
   /// chaos.<site>.consults / chaos.<site>.injected, plus workers and
   /// trace_dropped_records.

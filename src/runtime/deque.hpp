@@ -16,6 +16,10 @@
 // the owner, so there is no thief lock and no exception marker. A worker's
 // deque therefore holds only its own unstolen spawn frames.
 //
+// An attached deque is also a wake gate: push() wakes up to
+// ParkingLot::kWakeBatch of the most recently parked workers, wherever
+// they run (see parking.hpp).
+//
 // Layout discipline (cf. the OpenCilk __cilkrts_worker hot/cold split): the
 // owner-hot line holds bottom_ plus the wake-gate fields read on every
 // push; the thief-hot line holds top_; the buffer starts on its own line.
@@ -41,21 +45,14 @@ class Deque {
   static constexpr std::size_t kCapacity = std::size_t{1} << 16;
   static constexpr std::size_t kMask = kCapacity - 1;
 
-  /// Most sleepers one push() may wake when the deque is backing up (see
-  /// push()); an isolated push wakes one.
-  static constexpr unsigned kWakeBatch = 2;
-
   /// Wire the owning scheduler's parking lot into this deque: push() then
-  /// wakes parked workers after publishing the new bottom entry. `tier_of`
-  /// (indexed by worker id, owned by the scheduler) ranks sleepers by
-  /// proximity to this deque's owner. `wake_counter` / `batch_counter` are
-  /// the owner's kWakes / kBatchWakes stat slots. Unattached deques (unit
-  /// tests, standalone use) pay nothing beyond a null check.
-  void attach_wake_gate(ParkingLot* lot, const std::uint8_t* tier_of,
-                        std::uint64_t* wake_counter,
+  /// wakes parked workers after publishing the new bottom entry.
+  /// `wake_counter` / `batch_counter` are the owner's kWakes / kBatchWakes
+  /// stat slots. Unattached deques (unit tests, standalone use) pay nothing
+  /// beyond a null check.
+  void attach_wake_gate(ParkingLot* lot, std::uint64_t* wake_counter,
                         std::uint64_t* batch_counter) noexcept {
     lot_ = lot;
-    wake_tier_of_ = tier_of;
     wake_counter_ = wake_counter;
     batch_counter_ = batch_counter;
   }
@@ -74,13 +71,13 @@ class Deque {
     if (lot_ != nullptr) {
       // Batched wake-up: one isolated push wakes at most one sleeper (the
       // 1:1 discipline), but when pushes outrun thieves — b+1-t stealable
-      // entries are outstanding, a fan-out burst — wake up to kWakeBatch
-      // nearest sleepers at once to cut the serial wake latency chain.
-      // wake() internally fences so the bottom store above is ordered
-      // before the sleeper check (see parking.hpp).
+      // entries are outstanding, a fan-out burst — wake up to
+      // ParkingLot::kWakeBatch sleepers at once to cut the serial wake
+      // latency chain. wake() internally fences so the bottom store above
+      // is ordered before the sleeper check (see parking.hpp).
       const auto want = static_cast<unsigned>(std::clamp<std::int64_t>(
-          b + 1 - t, 1, kWakeBatch));
-      const std::uint32_t woken = lot_->wake(want, wake_tier_of_);
+          b + 1 - t, 1, ParkingLot::kWakeBatch));
+      const std::uint32_t woken = lot_->wake(want);
       *wake_counter_ += woken;
       if (woken > 1) *batch_counter_ += woken - 1;
     }
@@ -196,7 +193,6 @@ class Deque {
   // --- owner-hot line: bottom_ + the wake gate push() reads every time ---
   alignas(kCacheLineSize) std::atomic<std::int64_t> bottom_{0};
   ParkingLot* lot_ = nullptr;           // owner-written at attach, then const
-  const std::uint8_t* wake_tier_of_ = nullptr;
   std::uint64_t* wake_counter_ = nullptr;
   std::uint64_t* batch_counter_ = nullptr;
 

@@ -45,9 +45,6 @@ struct SpawnFrame {
   /// views and went back to work-stealing.
   std::atomic<int> arrivals{0};
 
-  /// Set by a thief at steal time (statistics / assertions only).
-  std::atomic<bool> stolen{false};
-
   /// The victim's suspended continuation (valid once the victim's scheduler
   /// announces its arrival) and its fiber for bookkeeping.
   Context parked;

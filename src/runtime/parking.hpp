@@ -1,10 +1,9 @@
 // Idle-worker parking: a per-worker parking lot (targeted wake-ups) plus a
 // cpu_relax() spin hint. Workers that find no work after an exponential
 // spin→yield backoff park on their own slot; producers (Deque::push, root
-// completion) wake up to k parked workers at once, choosing by proximity to
-// the producer and, within a proximity tier, most-recently-parked first
-// (LIFO — the last worker to go idle has the warmest cache and the shortest
-// wake latency).
+// completion) wake up to kWakeBatch parked workers at once, most recently
+// parked first (LIFO — the last worker to go idle has the warmest cache and
+// the shortest wake latency).
 //
 // The lost-wakeup race is closed Dekker-style: a consumer takes a TICKET
 // from its slot's epoch, REGISTERS in the shared parked stack, RE-CHECKS its
@@ -122,11 +121,9 @@ class ParkingLot {
   }
 
   /// Producer side. Call AFTER the new work (or completion flag) is
-  /// visible. Wakes up to `max_wake` parked workers; `tier_of`, when
-  /// non-null, ranks candidate worker w by tier_of[w] (lower = nearer the
-  /// producer), ties broken most-recently-parked first; null means pure
-  /// LIFO. Returns the number of workers woken.
-  std::uint32_t wake(unsigned max_wake, const std::uint8_t* tier_of) noexcept {
+  /// visible. Wakes the min(max_wake, kWakeBatch) most recently parked
+  /// workers (fewer if fewer are parked). Returns the number woken.
+  std::uint32_t wake(unsigned max_wake) noexcept {
     if (max_wake == 0) return 0;
     // Hot-path fast-out: Deque::push calls this on every spawn, and with no
     // one parked a relaxed read avoids a full fence per push. The relaxed
@@ -136,24 +133,13 @@ class ParkingLot {
     std::atomic_thread_fence(std::memory_order_seq_cst);
     if (parked_count_.load(std::memory_order_relaxed) == 0) return 0;
 
-    unsigned chosen[kMaxBatch];
+    unsigned chosen[kWakeBatch];
     std::uint32_t count = 0;
     {
       std::lock_guard<std::mutex> lock(stack_mu_);
-      const unsigned want =
-          max_wake < kMaxBatch ? max_wake : unsigned{kMaxBatch};
-      while (count < want && !stack_.empty()) {
-        // Nearest tier wins; within a tier the highest stack index (most
-        // recently parked) wins. The stack is small (≤ P), so a linear scan
-        // per pick is cheaper than maintaining a sorted structure.
-        std::size_t best = stack_.size() - 1;
-        if (tier_of != nullptr) {
-          for (std::size_t i = stack_.size(); i-- > 0;) {
-            if (tier_of[stack_[i]] < tier_of[stack_[best]]) best = i;
-          }
-        }
-        chosen[count++] = stack_[best];
-        stack_.erase(stack_.begin() + static_cast<std::ptrdiff_t>(best));
+      while (count < max_wake && count < kWakeBatch && !stack_.empty()) {
+        chosen[count++] = stack_.back();
+        stack_.pop_back();
       }
       parked_count_.store(static_cast<std::uint32_t>(stack_.size()),
                           std::memory_order_relaxed);
@@ -187,8 +173,9 @@ class ParkingLot {
     return parked_count_.load(std::memory_order_relaxed);
   }
 
-  /// Most sleepers a single wake() call will rouse.
-  static constexpr unsigned kMaxBatch = 16;
+  /// Most sleepers one wake() rouses: the batch Deque::push asks for when
+  /// pushes outrun thieves (an isolated push asks for one).
+  static constexpr unsigned kWakeBatch = 2;
 
  private:
   static constexpr unsigned kNone = ~0u;

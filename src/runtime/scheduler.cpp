@@ -1,10 +1,8 @@
 #include "runtime/scheduler.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <iostream>
-#include <numeric>
 #include <utility>
 
 #include "mem/internal_alloc.hpp"
@@ -27,37 +25,13 @@ Scheduler::Scheduler(unsigned num_workers, SchedulerOptions options)
     workers_.push_back(std::make_unique<Worker>(this, i));
   }
 
-  // Placement and proximity structure. The topology is discovered once per
-  // process; placement wraps modulo the CPU count when the pool is
-  // oversubscribed, so proximity stays meaningful (several workers "share"
-  // one CPU's position).
-  const topo::Topology& topology = topo::Topology::machine();
-  worker_cpu_ = topo::assign_cpus(topology, num_workers);
-
-  victim_tier_.assign(num_workers, std::vector<std::uint8_t>(num_workers, 0));
-  victim_order_.assign(num_workers, {});
-  for (unsigned thief = 0; thief < num_workers; ++thief) {
-    for (unsigned victim = 0; victim < num_workers; ++victim) {
-      victim_tier_[thief][victim] = static_cast<std::uint8_t>(
-          topology.proximity(worker_cpu_[thief], worker_cpu_[victim]));
-    }
-    // Proximity-ordered permutation of every other worker; ties keep id
-    // order (the per-round shuffle randomizes within tiers).
-    std::vector<unsigned>& order = victim_order_[thief];
-    order.reserve(num_workers - 1);
-    for (unsigned victim = 0; victim < num_workers; ++victim) {
-      if (victim != thief) order.push_back(victim);
-    }
-    std::stable_sort(order.begin(), order.end(),
-                     [&](unsigned a, unsigned b) {
-                       return victim_tier_[thief][a] < victim_tier_[thief][b];
-                     });
-  }
+  // The topology is discovered once per process; placement wraps modulo the
+  // CPU count when the pool is oversubscribed.
+  worker_cpu_ = topo::assign_cpus(topo::Topology::machine(), num_workers);
 
   for (auto& worker : workers_) {
     worker->deque().attach_wake_gate(
-        &parking_, victim_tier_[worker->id()].data(),
-        &worker->stats()[StatCounter::kWakes],
+        &parking_, &worker->stats()[StatCounter::kWakes],
         &worker->stats()[StatCounter::kBatchWakes]);
   }
 }
@@ -72,38 +46,11 @@ Scheduler::~Scheduler() {
   for (auto& thread : threads_) thread.join();
 }
 
-void Scheduler::build_victim_round(unsigned thief, std::vector<unsigned>* out) {
-  const std::vector<unsigned>& order = victim_order_[thief];
-  out->assign(order.begin(), order.end());
-  if (out->size() <= 1) return;
-  Xoshiro256& rng = workers_[thief]->rng_;
-  const std::vector<std::uint8_t>& tier = victim_tier_[thief];
-  // A round probes at most kMaxStealProbes victims, so only that prefix
-  // needs randomizing: partial (front-loaded) Fisher–Yates draws each
-  // prefix slot uniformly from the remaining candidates without paying for
-  // a full shuffle of a wide pool's tail.
-  const std::size_t cap =
-      std::min<std::size_t>(out->size(), kMaxStealProbes);
-  // Partial Fisher–Yates within each proximity tier: nearest victims still
-  // come first, but the P thieves of one package don't all hammer the same
-  // neighbour in the same order.
-  std::size_t lo = 0;
-  while (lo < cap) {
-    std::size_t hi = lo + 1;
-    while (hi < out->size() && tier[(*out)[hi]] == tier[(*out)[lo]]) ++hi;
-    for (std::size_t i = lo; i < std::min(hi - 1, cap); ++i) {
-      std::swap((*out)[i], (*out)[i + static_cast<std::size_t>(
-                                          rng.below(hi - i))]);
-    }
-    lo = hi;
-  }
-  // Escape hatch: one round in eight leads with a uniformly random victim,
-  // so a loaded remote package is still discovered promptly and the
-  // whole-machine balance of uniform stealing is preserved.
-  if (rng.below(8) == 0) {
-    std::swap((*out)[0],
-              (*out)[static_cast<std::size_t>(rng.below(out->size()))]);
-  }
+StealTour Scheduler::steal_tour(unsigned thief) {
+  const unsigned n = num_workers();
+  const auto start =
+      static_cast<unsigned>(workers_[thief]->rng_.below(n - 1));
+  return StealTour{thief, n, start};
 }
 
 bool Scheduler::work_available() const noexcept {

@@ -6,15 +6,16 @@
 // creation and TLMM-region TLS rebuild — per invocation. Workers also
 // persist logically, keeping reducer slot offsets and pools warm.
 //
-// Placement and steal locality come from the topo/ subsystem: every worker
-// is assigned a CPU by the spread placement (pinned there when
-// SchedulerOptions::pin is set), steal victims are probed in proximity order
-// (same core → same package → remote) with a randomized escape hatch, a
-// theft takes half the victim's frames, and pushes wake the nearest
+// Placement comes from the topo/ subsystem: every worker is assigned a CPU
+// by the spread placement (pinned there when SchedulerOptions::pin is set).
+// Stealing is Cilk-5's randomized work stealing: a steal round probes the
+// other workers in cyclic order from a random start, a theft takes the
+// victim's oldest frame, and a push wakes the most recently parked
 // sleepers. There is one such policy; only pinning and the watchdog are
 // settable.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -31,8 +32,9 @@
 namespace cilkm::rt {
 
 /// Deployment settings of a worker pool. The scheduling policy itself is
-/// fixed: spread placement, proximity-ordered victim rounds, one-frame
-/// thefts and wake batches of 2 (see README "Topology and steal policy").
+/// fixed: spread placement, rotation steal rounds from a random start,
+/// one-frame thefts and LIFO wake batches of 2 (see README "Topology and
+/// steal policy").
 struct SchedulerOptions {
   /// Pin each worker thread to its assigned CPU (best-effort: a failed
   /// sched_setaffinity leaves the thread unpinned).
@@ -46,6 +48,23 @@ struct SchedulerOptions {
   /// computes for longer than the window without spawning looks like a
   /// stall — size the window to the workload's longest serial stretch.
   unsigned watchdog_ms = 0;
+};
+
+/// The victims of one steal round by worker `thief` in a pool of `workers`:
+/// the other workers in cyclic order from offset `start` (drawn uniformly
+/// from [0, workers - 1)). No victim appears twice and the thief never
+/// appears; only the first size() are probed.
+struct StealTour {
+  unsigned thief;
+  unsigned workers;
+  unsigned start;
+
+  /// Probes in the round: every other worker, capped at kMaxStealProbes.
+  unsigned size() const noexcept;
+
+  unsigned operator[](unsigned i) const noexcept {
+    return (thief + 1 + (start + i) % (workers - 1)) % workers;
+  }
 };
 
 class Scheduler {
@@ -79,33 +98,14 @@ class Scheduler {
   /// SchedulerOptions::pin).
   unsigned worker_cpu(unsigned w) const noexcept { return worker_cpu_[w]; }
 
-  /// Worker `thief`'s victims in proximity order (nearest first): a
-  /// permutation of every other worker id. Stable after construction; the
-  /// per-round sequence additionally shuffles within proximity tiers.
-  const std::vector<unsigned>& victim_order(unsigned thief) const noexcept {
-    return victim_order_[thief];
-  }
-
-  /// Proximity tier of `victim` as seen from `thief` (0 = same core,
-  /// 1 = same package, 2 = remote), the rank used by steals and wake-ups.
-  std::uint8_t victim_tier(unsigned thief, unsigned victim) const noexcept {
-    return victim_tier_[thief][victim];
-  }
-
   /// Most victims probed per steal round: bounds the latency of the idle
-  /// loop's done-flag re-check on wide pools, and bounds the shuffle work
-  /// per round (only this prefix of the victim sequence is randomized).
+  /// loop's done-flag re-check on wide pools.
   static constexpr unsigned kMaxStealProbes = 16;
 
-  /// Build one steal round for `thief` into `out`: every other worker
-  /// exactly once (no victim is probed twice in a round), nearest tiers
-  /// first, shuffled within each tier, with a randomized escape hatch for
-  /// whole-machine balance. When every victim shares one tier this is a
-  /// uniform shuffle. Only the first kMaxStealProbes entries — all a round
-  /// ever probes — are randomized; the tail keeps tier order. Uses the thief
-  /// worker's private rng, so callers other than the thief itself may only
-  /// call this on a quiesced pool.
-  void build_victim_round(unsigned thief, std::vector<unsigned>* out);
+  /// Draw `thief`'s next steal round from the thief worker's private rng,
+  /// so callers other than the thief itself may only call this on a
+  /// quiesced pool.
+  StealTour steal_tour(unsigned thief);
 
   /// Sum of all workers' counters. Counters accumulate across run() calls
   /// on the same pool; call reset_stats() between runs for per-run numbers.
@@ -137,11 +137,9 @@ class Scheduler {
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::thread> threads_;
 
-  // Topology-derived placement (worker id → logical CPU) and proximity
-  // structure, fixed at construction.
+  // Topology-derived placement (worker id → logical CPU), fixed at
+  // construction.
   std::vector<unsigned> worker_cpu_;
-  std::vector<std::vector<unsigned>> victim_order_;      // per thief
-  std::vector<std::vector<std::uint8_t>> victim_tier_;   // [thief][victim]
 
   std::atomic<bool> done_{false};
   std::function<void()> root_fn_;
@@ -162,6 +160,10 @@ class Scheduler {
   bool running_ = false;
   bool shutdown_ = false;
 };
+
+inline unsigned StealTour::size() const noexcept {
+  return std::min(workers - 1, Scheduler::kMaxStealProbes);
+}
 
 /// Convenience: run `root` on a fresh P-worker scheduler. One-shot — code
 /// that runs repeatedly should hold a Scheduler and reuse the pool.

@@ -11,7 +11,6 @@
 #include "runtime/sanitizer.hpp"
 #include "runtime/scheduler.hpp"
 #include "runtime/trace.hpp"
-#include "topo/topology.hpp"
 #include "util/assert.hpp"
 #include "util/timing.hpp"
 
@@ -296,33 +295,20 @@ void Worker::join_slow(SpawnFrame* frame) {
 }
 
 SpawnFrame* Worker::try_steal_round() {
-  const unsigned n = sched_->num_workers();
-  if (n <= 1) return nullptr;
-  // One deduplicated tour: every other worker probed at most once, nearest
-  // proximity tiers first (shuffled within tiers; see build_victim_round).
-  // Capped so wide oversubscribed pools still re-check the done flag
-  // promptly.
-  sched_->build_victim_round(id_, &round_);
-  const auto attempts =
-      std::min<std::size_t>(round_.size(), Scheduler::kMaxStealProbes);
-  for (std::size_t a = 0; a < attempts; ++a) {
-    const unsigned victim_id = round_[a];
+  // One rotation tour: every other worker probed at most once, from a
+  // random start, capped so wide oversubscribed pools still re-check the
+  // done flag promptly.
+  const StealTour tour = sched_->steal_tour(id_);
+  for (unsigned a = 0; a < tour.size(); ++a) {
+    Deque& victim = sched_->workers_[tour[a]]->deque_;
     ++stats_[StatCounter::kStealAttempts];
-    // Timestamp per attempt, not per round: the per-tier latency sample
-    // must cover only the successful theft, or failed probes of other
-    // (possibly nearer) victims and round construction would be charged
-    // to the winning victim's tier and skew tier-vs-tier comparisons.
+    // Timestamp per attempt, not per round: the latency sample covers only
+    // the successful theft, not the failed probes before it.
     const std::uint64_t attempt_start = now_ns();
-    SpawnFrame* frame = sched_->workers_[victim_id]->deque_.steal();
+    SpawnFrame* frame = victim.steal();
     if (frame != nullptr) {
-      // Tier 0/1 (same core or package) is a cache-near theft; tier 2
-      // crossed a package or NUMA boundary.
-      const std::uint8_t tier = sched_->victim_tier(id_, victim_id);
-      const bool local = tier < static_cast<std::uint8_t>(
-                                    topo::Topology::Proximity::kRemote);
-      ++stats_[local ? StatCounter::kLocalSteals : StatCounter::kRemoteSteals];
       const std::uint64_t steal_lat = now_ns() - attempt_start;
-      stats_.record_steal(tier, steal_lat);
+      stats_.record_steal(steal_lat);
       launch_burden_ns_ = steal_lat;  // burden seed for the frame's launch
       // Injected delay between claiming the frame and launching it — the
       // window a preempted thief would leave the protocol in. Keyed on the
@@ -406,7 +392,6 @@ void Worker::scheduler_loop() {
       ++stats_[StatCounter::kSteals];
       Tracer::instance().record(id_, TraceEvent::kSteal, frame);
       idle_rounds = 0;
-      frame->stolen.store(true, std::memory_order_relaxed);
       launch(frame);
       continue;
     }

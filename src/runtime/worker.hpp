@@ -7,7 +7,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <vector>
 
 #include "runtime/deque.hpp"
 #include "runtime/frame.hpp"
@@ -122,12 +121,10 @@ class alignas(1024) Worker {
 
   void drain_pending();
 
-  /// One steal round: a deduplicated tour over the other workers in
-  /// proximity order (Scheduler::build_victim_round), each probe one
-  /// Deque::steal() of the victim's oldest frame, with pause backoff
-  /// between attempts. Every attempt (hit or miss) bumps kStealAttempts; a
-  /// hit is classified into kLocalSteals or kRemoteSteals by the victim's
-  /// proximity tier.
+  /// One steal round: a rotation tour over the other workers from a random
+  /// start (Scheduler::steal_tour), each probe one Deque::steal() of the
+  /// victim's oldest frame, with pause backoff between attempts. Every
+  /// attempt (hit or miss) bumps kStealAttempts; a hit records its latency.
   SpawnFrame* try_steal_round();
 
   /// Two-phase park on the scheduler's idle gate: register, re-check (done
@@ -163,7 +160,6 @@ class alignas(1024) Worker {
   // Steal-side state, on its own line(s): touched only while idle-stealing,
   // so steal rounds don't bounce the fiber-switch line above.
   alignas(kCacheLineSize) Xoshiro256 rng_;
-  std::vector<unsigned> round_;  // scratch victim sequence, reused per round
 
   // Stats on their own line: bumped from both the owner path (view work)
   // and the steal path, but never by other threads.

@@ -223,19 +223,6 @@ const CpuInfo* Topology::find(unsigned cpu_id) const noexcept {
   return &*it;
 }
 
-Topology::Proximity Topology::proximity(unsigned cpu_a,
-                                        unsigned cpu_b) const noexcept {
-  if (cpu_a == cpu_b) return Proximity::kSameCore;
-  const CpuInfo* a = find(cpu_a);
-  const CpuInfo* b = find(cpu_b);
-  if (a == nullptr || b == nullptr) return Proximity::kRemote;
-  if (a->core == b->core) return Proximity::kSameCore;
-  if (a->package == b->package && a->node == b->node) {
-    return Proximity::kSamePackage;
-  }
-  return Proximity::kRemote;
-}
-
 std::string Topology::describe() const {
   return std::to_string(num_cpus()) + " cpus / " + std::to_string(num_cores_) +
          " cores / " + std::to_string(num_packages_) + " packages / " +

@@ -1,9 +1,9 @@
 // CPU-topology discovery: which logical CPUs the process may use, and how
 // they group into SMT siblings, physical cores, packages, and NUMA nodes.
-// The runtime uses this to place (and optionally pin) workers and to order
-// steal victims by proximity — with a persistent worker pool (PR 3) the
-// per-worker reducer view stores stay cache/NUMA-resident across run()
-// epochs, so placement is worth preserving.
+// The runtime uses this to place (and optionally pin) workers, and the
+// internal allocator and fiber-stack pool use its NUMA node map to shard
+// by node. Steal victims and wake-ups are not ranked by it: the scheduler
+// steals uniformly (see README "Topology and steal policy").
 //
 // Discovery reads the Linux sysfs tree (/sys/devices/system by default;
 // tests point it at canned trees) intersected with the current affinity
@@ -12,7 +12,6 @@
 // restricted /sys, non-Linux hosts).
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -33,15 +32,6 @@ std::vector<unsigned> parse_cpulist(const std::string& text);
 
 class Topology {
  public:
-  /// Proximity classes for victim ordering, nearest first. Two SMT siblings
-  /// share L1/L2; two cores of one package share the last-level cache; the
-  /// rest is a cross-package (or cross-NUMA-node) hop.
-  enum class Proximity : std::uint8_t {
-    kSameCore = 0,
-    kSamePackage = 1,
-    kRemote = 2,
-  };
-
   /// Discover the live machine: sysfs structure restricted to the CPUs in
   /// the calling thread's affinity mask. Falls back to flat() when either
   /// source is unavailable.
@@ -78,10 +68,6 @@ class Topology {
 
   /// Lookup by logical id; nullptr when the id is not usable here.
   const CpuInfo* find(unsigned cpu_id) const noexcept;
-
-  /// Proximity of two logical CPUs. Identical ids are kSameCore; ids this
-  /// topology does not know are kRemote (conservative for victim ordering).
-  Proximity proximity(unsigned cpu_a, unsigned cpu_b) const noexcept;
 
   /// One-line human summary, e.g. "8 cpus / 4 cores / 2 packages / 2 nodes
   /// (sysfs)".

@@ -22,8 +22,6 @@ enum class StatCounter : unsigned {
   kViewsTransferred, ///< number of view pointers copied private -> public
   kHypermerges,      ///< number of deposit-merge operations
   kSteals,           ///< thefts: one frame from another worker's deque
-  kLocalSteals,      ///< thefts from a same-core / same-package victim
-  kRemoteSteals,     ///< thefts from a cross-package (or cross-node) victim
   kStealAttempts,    ///< steal() attempts on victims, successful or not
   kJoiningSteals,    ///< joins resumed by the non-owning worker
   kParks,            ///< idle episodes in which the worker blocked (parked)
@@ -47,8 +45,6 @@ constexpr std::string_view to_string(StatCounter c) noexcept {
     case StatCounter::kViewsTransferred: return "views_transferred";
     case StatCounter::kHypermerges: return "hypermerges";
     case StatCounter::kSteals: return "steals";
-    case StatCounter::kLocalSteals: return "local_steals";
-    case StatCounter::kRemoteSteals: return "remote_steals";
     case StatCounter::kStealAttempts: return "steal_attempts";
     case StatCounter::kJoiningSteals: return "joining_steals";
     case StatCounter::kParks: return "parks";
@@ -66,9 +62,9 @@ constexpr std::string_view to_string(StatCounter c) noexcept {
 /// block is written by exactly one worker thread and read only after the
 /// scheduler quiesces.
 struct WorkerStats {
-  /// Proximity tiers a steal-latency sample can be attributed to; mirrors
-  /// the scheduler's victim tiers (same-core / same-package / remote).
-  static constexpr std::size_t kStealTiers = 3;
+  /// Steal-latency sample classes. Victims are not ranked, so every sample
+  /// falls in one class; the ns/count sums keep this as their dimension.
+  static constexpr std::size_t kStealTiers = 1;
   /// Log2 histogram buckets at 128 ns granularity: bucket 0 is < 256 ns,
   /// each next bucket doubles, bucket 7 collects everything ≥ ~8.2 µs.
   static constexpr std::size_t kStealLatBuckets = 8;
@@ -76,10 +72,10 @@ struct WorkerStats {
   std::array<std::uint64_t, static_cast<std::size_t>(StatCounter::kCount)>
       counters{};
 
-  /// Per-tier latency of successful steal rounds (round start → theft):
-  /// sample counts per log2 bucket, plus total ns and sample count for
-  /// computing means in reports.
-  std::uint64_t steal_lat_hist[kStealTiers][kStealLatBuckets]{};
+  /// Latency of successful steals (the winning probe's steal() call): sample
+  /// counts per log2 bucket, plus total ns and sample count for computing
+  /// means in reports.
+  std::uint64_t steal_lat_hist[kStealLatBuckets]{};
   std::uint64_t steal_lat_ns[kStealTiers]{};
   std::uint64_t steal_lat_count[kStealTiers]{};
 
@@ -90,41 +86,28 @@ struct WorkerStats {
     return counters[static_cast<std::size_t>(c)];
   }
 
-  /// Record one successful steal round's latency, attributed to the winning
-  /// victim's proximity tier.
-  void record_steal(unsigned tier, std::uint64_t ns) noexcept {
-    if (tier >= kStealTiers) tier = kStealTiers - 1;
+  /// Record one successful steal's latency.
+  void record_steal(std::uint64_t ns) noexcept {
     const std::uint64_t scaled = ns >> 7;  // 128 ns granularity
     std::size_t bucket = 0;
     while (bucket + 1 < kStealLatBuckets && (scaled >> (bucket + 1)) != 0) {
       ++bucket;
     }
-    ++steal_lat_hist[tier][bucket];
-    steal_lat_ns[tier] += ns;
-    ++steal_lat_count[tier];
+    ++steal_lat_hist[bucket];
+    steal_lat_ns[0] += ns;
+    ++steal_lat_count[0];
   }
 
-  void reset() noexcept {
-    counters.fill(0);
-    for (std::size_t t = 0; t < kStealTiers; ++t) {
-      for (std::size_t b = 0; b < kStealLatBuckets; ++b) {
-        steal_lat_hist[t][b] = 0;
-      }
-      steal_lat_ns[t] = 0;
-      steal_lat_count[t] = 0;
-    }
-  }
+  void reset() noexcept { *this = WorkerStats{}; }
 
   WorkerStats& operator+=(const WorkerStats& other) noexcept {
     for (std::size_t i = 0; i < counters.size(); ++i)
       counters[i] += other.counters[i];
-    for (std::size_t t = 0; t < kStealTiers; ++t) {
-      for (std::size_t b = 0; b < kStealLatBuckets; ++b) {
-        steal_lat_hist[t][b] += other.steal_lat_hist[t][b];
-      }
-      steal_lat_ns[t] += other.steal_lat_ns[t];
-      steal_lat_count[t] += other.steal_lat_count[t];
+    for (std::size_t b = 0; b < kStealLatBuckets; ++b) {
+      steal_lat_hist[b] += other.steal_lat_hist[b];
     }
+    steal_lat_ns[0] += other.steal_lat_ns[0];
+    steal_lat_count[0] += other.steal_lat_count[0];
     return *this;
   }
 };

@@ -64,8 +64,8 @@ constexpr const char* kUsage =
     "ms dump its metrics/trace state and abort instead of hanging.\n"
     "\n"
     "--pin binds each worker to the CPU the scheduler assigns it. The\n"
-    "scheduling policy itself is fixed (spread placement, proximity-ordered\n"
-    "steal rounds, one-frame thefts, wake batches of 2).\n";
+    "scheduling policy itself is fixed (spread placement, rotation steal\n"
+    "rounds from a random start, one-frame thefts, LIFO wake batches of 2).\n";
 
 using bench::parse_long_strict;
 
@@ -418,12 +418,8 @@ int run_matrix(const DriverOptions& opts) {
                        {"verified", verified ? 1.0 : 0.0},
                        {"steals",
                         static_cast<double>(cell_stats[StatCounter::kSteals])},
-                       {"steal_ns_t0",
-                        static_cast<double>(cell_stats.steal_lat_ns[0])},
-                       {"steal_ns_t1",
-                        static_cast<double>(cell_stats.steal_lat_ns[1])},
-                       {"steal_ns_t2",
-                        static_cast<double>(cell_stats.steal_lat_ns[2])}});
+                       {"steal_ns",
+                        static_cast<double>(cell_stats.steal_lat_ns[0])}});
         }
         if (opts.profile) {
           const obs::RunProfile prof = profiler.totals();

@@ -243,8 +243,8 @@ TEST(MetricsRegistry, FlattenUsesStableNames) {
   for (const auto& m : snap.flatten()) names.push_back(m.name);
   for (const char* expected :
        {"workers", "steals", "hypermerges", "hypermerge_ns",
-        "view_transfer_ns", "steal_ns_t0", "steal_count_t2",
-        "steal_hist_t0_b0", "steal_hist_t2_b7", "mem.views.live_bytes",
+        "view_transfer_ns", "steal_ns", "steal_count", "steal_hist_b0",
+        "steal_hist_b7", "mem.views.live_bytes",
         "mem.frames.peak_blocks", "mem.general.refills",
         "trace_dropped_records"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())

@@ -1,9 +1,9 @@
 // The topo/ subsystem: sysfs discovery against canned golden trees (SMT
 // on/off, multi-package, NUMA, cpuset-restricted masks, missing sysfs →
 // flat fallback), spread placement, thread pinning, the ParkingLot's
-// batched/LIFO targeted wake-ups, and the scheduler's locality-aware
-// victim rounds (the dedup-within-a-round regression fix, and the fairness
-// of which victim leads a round).
+// batched/LIFO targeted wake-ups, and the scheduler's rotation steal
+// rounds (no victim twice in a round, never the thief, and the fairness of
+// which victim leads a round).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -32,12 +32,9 @@
 namespace {
 
 namespace fs = std::filesystem;
-using cilkm::StatCounter;
 using cilkm::rt::ParkingLot;
 using cilkm::topo::CpuInfo;
 using cilkm::topo::Topology;
-
-using Proximity = Topology::Proximity;
 
 // ---------------------------------------------------------------------------
 // Canned sysfs trees. A SysfsTree owns a temp directory mimicking
@@ -140,11 +137,10 @@ TEST(TopologyDiscovery, SmtTreeGroupsSiblingsCoresPackagesAndNodes) {
   EXPECT_EQ(topo.num_packages(), 2u);
   EXPECT_EQ(topo.num_nodes(), 2u);
 
-  EXPECT_EQ(topo.proximity(0, 1), Proximity::kSameCore);   // SMT siblings
-  EXPECT_EQ(topo.proximity(0, 2), Proximity::kSamePackage);
-  EXPECT_EQ(topo.proximity(0, 4), Proximity::kRemote);     // cross package
-  EXPECT_EQ(topo.proximity(0, 0), Proximity::kSameCore);
-  EXPECT_EQ(topo.proximity(6, 7), Proximity::kSameCore);
+  // SMT siblings share a core; core ids are dense across packages.
+  EXPECT_EQ(topo.find(0)->core, topo.find(1)->core);
+  EXPECT_NE(topo.find(0)->core, topo.find(2)->core);
+  EXPECT_EQ(topo.find(6)->core, 3u);
 
   const CpuInfo* cpu5 = topo.find(5);
   ASSERT_NE(cpu5, nullptr);
@@ -164,8 +160,6 @@ TEST(TopologyDiscovery, SmtOffTreeHasOneCpuPerCore) {
   EXPECT_EQ(topo.num_cpus(), 4u);
   EXPECT_EQ(topo.num_cores(), 4u);
   EXPECT_EQ(topo.num_packages(), 1u);
-  EXPECT_EQ(topo.proximity(0, 1), Proximity::kSamePackage);
-  EXPECT_EQ(topo.proximity(0, 3), Proximity::kSamePackage);
 }
 
 TEST(TopologyDiscovery, CpusetRestrictedMaskIntersectsOnline) {
@@ -175,8 +169,6 @@ TEST(TopologyDiscovery, CpusetRestrictedMaskIntersectsOnline) {
   EXPECT_TRUE(topo.from_sysfs());
   EXPECT_EQ(topo.num_cpus(), 3u);
   EXPECT_EQ(topo.num_packages(), 2u);
-  EXPECT_EQ(topo.proximity(0, 2), Proximity::kSamePackage);
-  EXPECT_EQ(topo.proximity(0, 5), Proximity::kRemote);
   EXPECT_EQ(topo.find(1), nullptr);  // masked out
 }
 
@@ -197,7 +189,7 @@ TEST(TopologyDiscovery, MissingSysfsFallsBackFlatOverMask) {
   EXPECT_EQ(topo.num_cpus(), 2u);
   EXPECT_EQ(topo.num_packages(), 1u);
   // Flat: no false SMT siblings, everything one package.
-  EXPECT_EQ(topo.proximity(0, 1), Proximity::kSamePackage);
+  EXPECT_NE(topo.find(0)->core, topo.find(1)->core);
 }
 
 TEST(TopologyDiscovery, MaskOutsideOnlineListFallsBackFlat) {
@@ -245,7 +237,6 @@ TEST(TopologyDiscovery, NonContiguousNodeIdsAreDiscovered) {
   EXPECT_EQ(topo.num_nodes(), 2u);
   ASSERT_NE(topo.find(5), nullptr);
   EXPECT_EQ(topo.find(5)->node, 2u);
-  EXPECT_EQ(topo.proximity(0, 5), Proximity::kRemote);
 }
 
 TEST(TopologyDiscovery, LiveMachineDiscoveryIsSane) {
@@ -254,9 +245,9 @@ TEST(TopologyDiscovery, LiveMachineDiscoveryIsSane) {
   EXPECT_GE(topo.num_cores(), 1u);
   EXPECT_GE(topo.num_packages(), 1u);
   EXPECT_FALSE(topo.describe().empty());
-  // Every usable CPU classifies against itself as same-core.
+  // Every usable CPU is found under its own id.
   for (const CpuInfo& info : topo.cpus()) {
-    EXPECT_EQ(topo.proximity(info.cpu, info.cpu), Proximity::kSameCore);
+    EXPECT_EQ(topo.find(info.cpu), &info);
   }
 }
 
@@ -359,8 +350,9 @@ TEST(ParkingLot, WakeRousesUpToKSleepersMostRecentFirst) {
   for (unsigned who : {0u, 1u, 2u}) sleepers.park_one(who);
   while (lot.parked_count() != 3) std::this_thread::yield();
 
-  // Batch of 2, no proximity ranking: LIFO, so workers 2 and 1 wake.
-  EXPECT_EQ(lot.wake(2, nullptr), 2u);
+  // Asking for more than a batch wakes one batch, LIFO: workers 2 and 1.
+  static_assert(ParkingLot::kWakeBatch == 2);
+  EXPECT_EQ(lot.wake(ParkingLot::kWakeBatch + 1), ParkingLot::kWakeBatch);
   while (sleepers.woken_count.load() != 2) std::this_thread::yield();
   std::set<int> woken{sleepers.woken_order[0].load(),
                       sleepers.woken_order[1].load()};
@@ -370,23 +362,6 @@ TEST(ParkingLot, WakeRousesUpToKSleepersMostRecentFirst) {
   EXPECT_EQ(lot.wake_all(), 1u);
   sleepers.join_all();
   EXPECT_EQ(sleepers.woken_order[2].load(), 0);
-}
-
-TEST(ParkingLot, WakePrefersNearestTierOverRecency) {
-  ParkingLot lot(4);
-  Sleepers sleepers(lot);
-  for (unsigned who : {1u, 2u, 3u}) sleepers.park_one(who);
-  while (lot.parked_count() != 3) std::this_thread::yield();
-
-  // From worker 0's perspective: worker 1 is same-core, 2 same-package,
-  // 3 remote. A single wake must pick worker 1 even though 3 parked last.
-  const std::uint8_t tiers[4] = {0, 0, 1, 2};
-  EXPECT_EQ(lot.wake(1, tiers), 1u);
-  while (sleepers.woken_count.load() != 1) std::this_thread::yield();
-  EXPECT_EQ(sleepers.woken_order[0].load(), 1);
-
-  lot.wake_all();
-  sleepers.join_all();
 }
 
 TEST(ParkingLot, CancelAfterTargetedWakeForwardsTheCredit) {
@@ -400,7 +375,7 @@ TEST(ParkingLot, CancelAfterTargetedWakeForwardsTheCredit) {
   // forward the wake to worker 0 rather than swallow it.
   const std::uint32_t ticket = lot.prepare_park(1);
   (void)ticket;
-  EXPECT_EQ(lot.wake(1, nullptr), 1u);   // pops worker 1
+  EXPECT_EQ(lot.wake(1), 1u);   // pops worker 1
   EXPECT_EQ(lot.cancel_park(1), 1u);     // forwards to worker 0
   sleepers.join_all();
   EXPECT_EQ(sleepers.woken_order[0].load(), 0);
@@ -413,7 +388,7 @@ TEST(ParkingLot, CancelOfStillRegisteredWorkerForwardsNothing) {
   EXPECT_EQ(lot.parked_count(), 1u);
   EXPECT_EQ(lot.cancel_park(0), 0u);
   EXPECT_EQ(lot.parked_count(), 0u);
-  EXPECT_EQ(lot.wake(1, nullptr), 0u);  // nobody left to wake
+  EXPECT_EQ(lot.wake(1), 0u);  // nobody left to wake
 }
 
 TEST(ParkingLot, BackstopExpiryDeregisters) {
@@ -432,27 +407,39 @@ TEST(ParkingLot, WakeBeforeParkCommitsIsNotLost) {
   // park() fall through instead of sleeping to the backstop.
   ParkingLot lot(1);
   const std::uint32_t ticket = lot.prepare_park(0);
-  EXPECT_EQ(lot.wake(1, nullptr), 1u);
+  EXPECT_EQ(lot.wake(1), 1u);
   const auto t0 = std::chrono::steady_clock::now();
   lot.park(0, ticket, std::chrono::milliseconds(10000));
   EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(5));
 }
 
 // ---------------------------------------------------------------------------
-// Scheduler integration: victim ordering, steal classification, pinning
+// Scheduler integration: steal rounds, pinning
 // ---------------------------------------------------------------------------
 
+/// True iff the first tour.size() victims are distinct other workers.
+bool probes_each_other_worker_once(const cilkm::rt::StealTour& tour) {
+  std::set<unsigned> seen;
+  for (unsigned i = 0; i < tour.size(); ++i) {
+    const unsigned v = tour[i];
+    if (v == tour.thief || v >= tour.workers || !seen.insert(v).second) {
+      return false;
+    }
+  }
+  return true;
+}
+
 TEST(LocalitySteal, VictimOrderIsAPermutationSortedByTier) {
-  cilkm::Scheduler sched(6);
+  // Victims are not ranked (there are no tiers), so the order's whole
+  // contract is the permutation: from every start offset, a tour of a
+  // 6-worker pool covers the five other workers once each.
   for (unsigned thief = 0; thief < 6; ++thief) {
-    const std::vector<unsigned>& order = sched.victim_order(thief);
-    ASSERT_EQ(order.size(), 5u);
-    std::set<unsigned> seen(order.begin(), order.end());
-    EXPECT_EQ(seen.size(), 5u);                 // no duplicates
-    EXPECT_EQ(seen.count(thief), 0u);           // never self
-    for (std::size_t i = 1; i < order.size(); ++i) {
-      EXPECT_LE(sched.victim_tier(thief, order[i - 1]),
-                sched.victim_tier(thief, order[i]));
+    for (unsigned start = 0; start < 5; ++start) {
+      const cilkm::rt::StealTour tour{thief, 6, start};
+      ASSERT_EQ(tour.size(), 5u);
+      EXPECT_TRUE(probes_each_other_worker_once(tour))
+          << "thief " << thief << " start " << start;
+      EXPECT_EQ(tour[0], (thief + 1 + start) % 6);
     }
   }
 }
@@ -460,74 +447,49 @@ TEST(LocalitySteal, VictimOrderIsAPermutationSortedByTier) {
 TEST(LocalitySteal, StealRoundProbesEachVictimAtMostOnce) {
   // Regression for the sample-with-replacement steal loop: one round could
   // probe the same victim repeatedly (inflating kStealAttempts without
-  // widening coverage). A built round must be a permutation.
+  // widening coverage). Every drawn tour probes each other worker once and
+  // never the thief; a pool wider than kMaxStealProbes + 1 caps the tour.
   cilkm::Scheduler sched(5);
-  std::vector<unsigned> round;
   for (unsigned thief = 0; thief < 5; ++thief) {
     for (int rep = 0; rep < 32; ++rep) {
-      sched.build_victim_round(thief, &round);
-      ASSERT_EQ(round.size(), 4u);
-      const std::set<unsigned> seen(round.begin(), round.end());
-      EXPECT_EQ(seen.size(), 4u) << "duplicate victim in a round";
-      EXPECT_EQ(seen.count(thief), 0u);
+      const cilkm::rt::StealTour tour = sched.steal_tour(thief);
+      ASSERT_EQ(tour.size(), 4u);
+      EXPECT_TRUE(probes_each_other_worker_once(tour));
     }
   }
+  constexpr unsigned kWide = cilkm::Scheduler::kMaxStealProbes + 4;
+  cilkm::Scheduler wide(kWide);
+  const cilkm::rt::StealTour tour = wide.steal_tour(3);
+  EXPECT_EQ(tour.size(), cilkm::Scheduler::kMaxStealProbes);
+  EXPECT_TRUE(probes_each_other_worker_once(tour));
 }
 
 TEST(LocalitySteal, RoundsVaryButRespectTiersModuloEscapeHatch) {
+  // The start offset is redrawn every round, so rounds do not repeat one
+  // fixed order.
   cilkm::Scheduler sched(8);
-  std::vector<unsigned> first, round;
-  sched.build_victim_round(0, &first);
+  const unsigned first = sched.steal_tour(0)[0];
   bool varied = false;
   for (int rep = 0; rep < 64 && !varied; ++rep) {
-    sched.build_victim_round(0, &round);
-    varied = round != first;
+    varied = sched.steal_tour(0)[0] != first;
   }
-  EXPECT_TRUE(varied) << "64 rounds identical: shuffle is not happening";
+  EXPECT_TRUE(varied) << "64 rounds led by one victim: no random start";
 }
 
 TEST(LocalitySteal, NearestTierLeadsEvenlyAndEveryVictimLeadsSometimes) {
-  // The tiered shuffle keeps uniform stealing's balance: within thief 0's
-  // nearest tier every victim leads its fair share of the 7-in-8 rounds
-  // that follow tier order, and the 1-in-8 escape hatch lets every victim,
-  // however far, lead some round. The worker rng has a fixed seed, so the
-  // counts are deterministic for a given topology.
+  // Uniform stealing's balance: over many rounds every other worker leads
+  // (is probed first) in at least 80% of its fair share of the rounds. The
+  // worker rng has a fixed seed, so the counts are deterministic.
   constexpr unsigned kWorkers = 8;
   constexpr int kRounds = 4000;
   cilkm::Scheduler sched(kWorkers);
-  const std::uint8_t nearest =
-      sched.victim_tier(0, sched.victim_order(0).front());
-  std::vector<unsigned> tier;
-  for (unsigned v = 1; v < kWorkers; ++v) {
-    if (sched.victim_tier(0, v) == nearest) tier.push_back(v);
-  }
   std::vector<int> leads(kWorkers, 0);
-  std::vector<unsigned> round;
-  for (int rep = 0; rep < kRounds; ++rep) {
-    sched.build_victim_round(0, &round);
-    ++leads[round.front()];
-  }
-  const double fair = 0.8 * (7.0 / 8.0) * kRounds /
-                      static_cast<double>(tier.size());
-  for (const unsigned v : tier) {
-    EXPECT_GE(leads[v], fair) << "nearest-tier victim " << v;
-  }
+  for (int rep = 0; rep < kRounds; ++rep) ++leads[sched.steal_tour(0)[0]];
+  EXPECT_EQ(leads[0], 0) << "the thief led its own round";
+  const double fair = 0.8 * kRounds / (kWorkers - 1);
   for (unsigned v = 1; v < kWorkers; ++v) {
-    EXPECT_GE(leads[v], 1) << "victim " << v << " never leads a round";
+    EXPECT_GE(leads[v], fair) << "victim " << v;
   }
-}
-
-TEST(LocalitySteal, StealsClassifyAsLocalPlusRemote) {
-  cilkm::Scheduler sched(4);
-  sched.reset_stats();
-  sched.run([] {
-    cilkm::parallel_for(0, 20000, 16, [](std::int64_t i) {
-      if (i % 512 == 0) std::this_thread::yield();
-    });
-  });
-  const auto stats = sched.aggregate_stats();
-  EXPECT_EQ(stats[StatCounter::kLocalSteals] + stats[StatCounter::kRemoteSteals],
-            stats[StatCounter::kSteals]);
 }
 
 TEST(LocalitySteal, PinnedPoolRunsAndAssignsCpusFromTheMachine) {
